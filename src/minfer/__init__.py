@@ -44,15 +44,11 @@ from .errors import (
 )
 from .identify import ThetaInterval, ml_region, theta_interval
 from .likelihood import (
-    LikelihoodPoint,
     mcar_curve,
     mcar_log_lik,
-    mcar_points,
     profile_curve,
     profile_log_lik,
     profile_lr,
-    profile_oracle,
-    profile_points,
     standardize,
 )
 from .model import (
@@ -78,7 +74,6 @@ __all__ = [
     "EmptySample",
     "InconsistentTotals",
     "LevelSet",
-    "LikelihoodPoint",
     "MatchedTable",
     "MinferError",
     "MissingTable",
@@ -112,14 +107,11 @@ __all__ = [
     "max_corroboration_set",
     "mcar_curve",
     "mcar_log_lik",
-    "mcar_points",
     "ml_region",
     "mle_psi",
     "profile_curve",
     "profile_log_lik",
     "profile_lr",
-    "profile_oracle",
-    "profile_points",
     "reports_to_csv",
     "select_h",
     "standardize",

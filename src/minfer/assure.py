@@ -9,7 +9,8 @@ toward it from outside; a high-assurance set grows toward it from inside.
 requested offset h on the shared replicates:
 
 1. draw replicate table b from the observed-data law at the MLE of
-   ``data`` (stream spawned from (master_seed, b));
+   ``data`` (one ``draw`` of the parameter type on the stream spawned
+   from (master_seed, b)) and take its MLE;
 2. compute the replicate's corroboration curve at its own MLE on the same
    theta grid (inner method: normal quadrature or a nested bootstrap
    consuming the replicate's stream), and extract the interval of points
@@ -17,6 +18,8 @@ requested offset h on the shared replicates:
 3. set delta_b = 1 exactly when Lhat <= L_b < U_b <= Uhat, where
    [Lhat, Uhat] is the plug-in region of the observed data.
 
+The grid must cover [Lhat, Uhat]; otherwise a set could end at a grid
+edge that is no feature of the curve, and ``ValidationError`` is raised.
 The report aggregates tau_hat = mean(delta_b), L_bar = mean(L_b), and
 U_bar = mean(U_b). The middle inequality in step 3 is deliberately
 strict, so a replicate whose offset-h set collapses to a single grid
@@ -31,6 +34,7 @@ thread count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
@@ -38,18 +42,19 @@ from typing import IO, Sequence
 import numpy as np
 
 from .corroborate import (
-    Sizes,
-    bounds_batch_from_rng,
-    coverage_share,
-    default_grid,
     NORMAL_TIE_EPS,
+    _as_grid,
+    bounds_batch_from_rng,
     bounds_batch_streams,
+    corroboration_method,
     corroboration_normal_curve,
+    coverage_share,
+    write_csv,
 )
 from .errors import DegenerateVariance, NoQualifyingH, ValidationError
-from .identify import ml_region
-from .model import MissingTable, ObservedTable, PsiMatched, PsiMissing, mle_psi
-from .sampling import ReplicateStream, missing_pvals
+from .identify import ThetaInterval, ml_region
+from .model import ObservedTable, mle_psi
+from .sampling import ReplicateStream
 
 DEFAULT_INNER_B = 1000
 
@@ -85,20 +90,18 @@ class AssuranceReport:
         return asdict(self)
 
 
-def _default_inner_method(data: ObservedTable) -> str:
-    # the normal approximation exists only for the missing-data law
-    return "normal" if isinstance(data, MissingTable) else "bootstrap"
-
-
-def _replicate_psi_and_rng(data: ObservedTable, psi_hat, master_seed: int, b: int):
-    rng = ReplicateStream(master_seed, b).rng()
-    if isinstance(data, MissingTable):
-        n = data.n
-        c11, c01, c0 = rng.multinomial(n, missing_pvals(psi_hat))
-        return PsiMissing(c11 / n, c01 / n, c0 / n), rng
-    nx = rng.binomial(data.n1, psi_hat.l1p)
-    ny = rng.binomial(data.n2, psi_hat.lp1)
-    return PsiMatched(nx / data.n1, ny / data.n2), rng
+def _report(region: ThetaInterval, lo: np.ndarray, up: np.ndarray, **fields) -> AssuranceReport:
+    # delta_b = 1 exactly when Lhat <= L_b < U_b <= Uhat (see module docs)
+    B_outer = lo.size
+    delta = (region.lower <= lo) & (lo < up) & (up <= region.upper)
+    return AssuranceReport(
+        tau_hat=float(np.count_nonzero(delta) / B_outer),
+        L_bar=float(np.sum(lo) / B_outer),
+        U_bar=float(np.sum(up) / B_outer),
+        B_outer=B_outer,
+        singleton_count=int(np.count_nonzero(lo == up)),
+        **fields,
+    )
 
 
 def assurance_sweep(
@@ -121,21 +124,18 @@ def assurance_sweep(
             raise ValidationError(f"offset h = {h} must lie in [0, 1)")
     if B_outer < 1:
         raise ValidationError(f"B_outer = {B_outer} must be at least 1")
-    if inner_method is None:
-        inner_method = _default_inner_method(data)
-    if inner_method not in ("normal", "bootstrap"):
-        raise ValidationError(f"unknown inner method {inner_method!r}")
-    if inner_method == "normal" and not isinstance(data, MissingTable):
-        raise ValidationError("the normal inner method applies to missing-data inputs only")
+    psi_hat = mle_psi(data)
+    inner_method = corroboration_method(psi_hat, inner_method)
     if inner_B < 1:
         raise ValidationError(f"inner_B = {inner_B} must be at least 1")
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-
-    psi_hat = mle_psi(data)
-    sizes: Sizes = data.n if isinstance(data, MissingTable) else (data.n1, data.n2)
+    grid = _as_grid(grid)
+    sizes = data.sizes
     region_hat = ml_region(data)
+    if grid[0] > region_hat.lower or grid[-1] < region_hat.upper:
+        raise ValidationError(
+            f"grid [{grid[0]}, {grid[-1]}] does not cover the plug-in region "
+            f"[{region_hat.lower}, {region_hat.upper}]"
+        )
 
     n_h = len(hs)
     lower = np.empty((n_h, B_outer))
@@ -144,12 +144,13 @@ def assurance_sweep(
     h_arr = np.asarray(hs)
 
     def run_replicate(b: int) -> None:
-        psi_b, rng = _replicate_psi_and_rng(data, psi_hat, master_seed, b)
+        rng = ReplicateStream(master_seed, b).rng()
+        psi_b = psi_hat.from_cells(psi_hat.draw(rng, sizes), sizes)
         tie = NORMAL_TIE_EPS
         values = None
         if inner_method == "normal":
             try:
-                values = corroboration_normal_curve(psi_b, int(sizes), grid).values
+                values = corroboration_normal_curve(psi_b, sizes, grid).values
             except DegenerateVariance:
                 fallbacks[b] = True
         if values is None:
@@ -169,26 +170,17 @@ def assurance_sweep(
         for b in range(B_outer):
             run_replicate(b)
 
-    reports = []
-    for i, h in enumerate(hs):
-        lo, up = lower[i], upper[i]
-        singles = int(np.count_nonzero(lo == up))
-        delta = (region_hat.lower <= lo) & (lo < up) & (up <= region_hat.upper)
-        reports.append(
-            AssuranceReport(
-                h=h,
-                tau_hat=float(np.count_nonzero(delta) / B_outer),
-                L_bar=float(np.sum(lo) / B_outer),
-                U_bar=float(np.sum(up) / B_outer),
-                B_outer=B_outer,
-                inner_method=inner_method,
-                inner_B=inner_B if inner_method == "bootstrap" or fallbacks.any() else None,
-                master_seed=master_seed,
-                singleton_count=singles,
-                fallback_count=int(np.count_nonzero(fallbacks)),
-            )
+    return [
+        _report(
+            region_hat, lower[i], upper[i],
+            h=h,
+            inner_method=inner_method,
+            inner_B=inner_B if inner_method == "bootstrap" or fallbacks.any() else None,
+            master_seed=master_seed,
+            fallback_count=int(np.count_nonzero(fallbacks)),
         )
-    return reports
+        for i, h in enumerate(hs)
+    ]
 
 
 def assurance_bootstrap(
@@ -217,22 +209,11 @@ def assurance_of_ml_region(
     own plug-in region, no inner curve involved."""
     if B_outer < 1:
         raise ValidationError(f"B_outer = {B_outer} must be at least 1")
-    psi_hat = mle_psi(data)
-    sizes: Sizes = data.n if isinstance(data, MissingTable) else (data.n1, data.n2)
     region_hat = ml_region(data)
-    lo, up = bounds_batch_streams(psi_hat, sizes, B_outer, master_seed)
-    delta = (region_hat.lower <= lo) & (lo < up) & (up <= region_hat.upper)
-    return AssuranceReport(
-        h=None,
-        tau_hat=float(np.count_nonzero(delta) / B_outer),
-        L_bar=float(np.sum(lo) / B_outer),
-        U_bar=float(np.sum(up) / B_outer),
-        B_outer=B_outer,
-        inner_method="ml_region",
-        inner_B=None,
-        master_seed=master_seed,
-        singleton_count=int(np.count_nonzero(lo == up)),
-        fallback_count=0,
+    lo, up = bounds_batch_streams(mle_psi(data), data.sizes, B_outer, master_seed)
+    return _report(
+        region_hat, lo, up,
+        h=None, inner_method="ml_region", inner_B=None, master_seed=master_seed, fallback_count=0,
     )
 
 
@@ -262,13 +243,7 @@ def select_h(
     )
 
 
-def reports_to_csv(reports: Sequence[AssuranceReport], destination: str | IO[str]) -> None:
+def reports_to_csv(reports: Sequence[AssuranceReport], destination: str | os.PathLike | IO[str]) -> None:
     """Write ``h,tau,L_bar,U_bar`` rows with 6 decimal places."""
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-            reports_to_csv(reports, handle)
-        return
-    destination.write("h,tau,L_bar,U_bar\n")
-    for r in reports:
-        h_text = "" if r.h is None else f"{r.h:.6f}"
-        destination.write(f"{h_text},{r.tau_hat:.6f},{r.L_bar:.6f},{r.U_bar:.6f}\n")
+    write_csv(destination, ("h", "tau", "L_bar", "U_bar"),
+              ((r.h, r.tau_hat, r.L_bar, r.U_bar) for r in reports))

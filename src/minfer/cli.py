@@ -12,7 +12,9 @@ Subcommands:
 
 Numbers are serialized with 6 decimal places; reruns with identical
 arguments and seed produce byte-identical output. Exit codes: 0 success,
-1 invalid input, 2 numeric failure.
+1 invalid input, 2 numeric failure. Values from a ``--config`` JSON file
+are parsed as if given as flags before the command line's own, so they
+pass the same checks and explicit flags win.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +33,10 @@ from . import corroborate as corr
 from . import ctest, likelihood
 from .errors import EmptyLevelSet, MinferError, NoQualifyingH, ValidationError
 from .identify import ml_region
-from .model import MissingTable, ObservedTable, PsiMatched, PsiMissing, mle_psi, validate
+from .model import SETTINGS, MissingTable, ObservedTable, mle_psi, validate
 
 THREADS_ENV = "MINFER_THREADS"
+GRID = "0:1:0.001"
 MAX_THREADS = 64
 
 
@@ -47,18 +51,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ValidationError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ValidationError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+        return [float(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}")
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -87,9 +91,11 @@ def _round6(value: float) -> float:
     return round(float(value), 6)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _rounded(payload: dict) -> dict:
+    return {key: _round6(v) if isinstance(v, float) else v for key, v in payload.items()}
+
+
+def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -102,12 +108,21 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _merge_config(args: argparse.Namespace, config: dict) -> None:
-    # flags override file values: fill only attributes still at None
+def _config_tokens(args: argparse.Namespace, config: dict) -> list[str]:
+    # one flag per config key that the subcommand knows (others are
+    # ignored): true is a bare switch, a list becomes a comma list
+    tokens = []
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if attr in ("config", "func", "command") or not hasattr(args, attr):
+            continue
+        if value is None or value is False:
+            continue
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        tokens.append(flag if value is True else f"{flag}={value}")
+    return tokens
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -130,22 +145,16 @@ def _table_from_args(args: argparse.Namespace) -> ObservedTable:
         raise ValidationError("--setting is required (missing or matched)")
     if args.counts is None:
         raise ValidationError("--counts is required for this subcommand")
-    counts = args.counts
-    if isinstance(counts, str):
-        counts = _parse_int_list(counts, "--counts")
-    return validate(counts, args.setting)
+    return validate(args.counts, args.setting)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(payload: object, out: str | None) -> None:
+    text = json.dumps(payload, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-
-
-def _json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------- analyze
@@ -154,23 +163,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
     psi = mle_psi(data)
     region = ml_region(data)
-    payload: dict = {"setting": args.setting}
-    if isinstance(data, MissingTable):
-        payload["counts"] = [data.n11, data.n01, data.n_plus0]
-        payload["n"] = data.n
-        payload["psi_hat"] = {
-            "l11": _round6(psi.l11),
-            "l01": _round6(psi.l01),
-            "l_plus0": _round6(psi.l_plus0),
-        }
+    missing = isinstance(data, MissingTable)
+    payload: dict = {"setting": args.setting, "counts": list(astuple(data))}
+    payload.update({"n": data.n} if missing else {"sizes": list(data.sizes)})
+    payload["psi_hat"] = _rounded(asdict(psi))
+    if missing:
         responders = data.n11 + data.n01
         payload["mcar_mle"] = _round6(data.n11 / responders) if responders else None
-    else:
-        payload["counts"] = [data.nx, data.n1, data.ny, data.n2]
-        payload["sizes"] = [data.n1, data.n2]
-        payload["psi_hat"] = {"l1p": _round6(psi.l1p), "lp1": _round6(psi.lp1)}
     payload["ml_region"] = {"lower": _round6(region.lower), "upper": _round6(region.upper)}
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -178,33 +179,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _observed_curve(args: argparse.Namespace, data: ObservedTable, grid: np.ndarray):
     psi = mle_psi(data)
-    method = args.method or ("normal" if isinstance(data, MissingTable) else "bootstrap")
-    if method == "normal":
-        if not isinstance(data, MissingTable):
-            raise ValidationError("--method normal applies to the missing setting only")
-        return corr.corroboration_normal_curve(psi, data.n, grid)
-    if method != "bootstrap":
-        raise ValidationError(f"unknown method {method!r}")
-    sizes = data.n if isinstance(data, MissingTable) else (data.n1, data.n2)
-    return corr.corroboration_bootstrap(psi, sizes, grid, B=args.B, master_seed=args.seed)
+    if corr.corroboration_method(psi, args.method) == "normal":
+        return corr.corroboration_normal_curve(psi, data.sizes, grid)
+    return corr.corroboration_bootstrap(psi, data.sizes, grid, B=args.B, master_seed=args.seed)
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
     grid = parse_grid(args.grid)
     curve = _observed_curve(args, data, grid)
-    lines = []
+    header, columns = ["theta", "corroboration"], [grid, curve.values]
     if isinstance(data, MissingTable):
-        profile = likelihood.profile_curve(data, grid)
-        mcar = likelihood.mcar_curve(data, grid)
-        lines.append("theta,corroboration,profile_std,mcar_std")
-        for theta, c, p, m in zip(grid, curve.values, profile, mcar):
-            lines.append(f"{theta:.6f},{c:.6f},{p:.6f},{m:.6f}")
-    else:
-        lines.append("theta,corroboration")
-        for theta, c in zip(grid, curve.values):
-            lines.append(f"{theta:.6f},{c:.6f}")
-    _emit("\n".join(lines) + "\n", args.out)
+        header += ["profile_std", "mcar_std"]
+        columns += [likelihood.profile_curve(data, grid), likelihood.mcar_curve(data, grid)]
+    corr.write_csv(args.out or sys.stdout, header, zip(*columns))
     return 0
 
 
@@ -221,7 +209,7 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
             result = corr.level_set(curve, float(args.alpha))
         except EmptyLevelSet:
             payload = {"kind": "alpha_level", "level": _round6(args.alpha), "empty": True}
-            _emit(_json_text(payload), args.out)
+            _emit(payload, args.out)
             return 0
     else:
         result = corr.max_corroboration_set(curve, float(args.h))
@@ -232,20 +220,11 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
         "lower": _round6(result.interval.lower),
         "upper": _round6(result.interval.upper),
     }
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
     return 0
 
 
 # ----------------------------------------------------------------- assure
-
-def _report_payload(report) -> dict:
-    payload = report.to_dict()
-    for key in ("tau_hat", "L_bar", "U_bar"):
-        payload[key] = _round6(payload[key])
-    if payload["h"] is not None:
-        payload["h"] = _round6(payload["h"])
-    return payload
-
 
 def _cmd_assure(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
@@ -254,11 +233,10 @@ def _cmd_assure(args: argparse.Namespace) -> int:
         report = assure_mod.assurance_of_ml_region(
             data, B_outer=args.B_outer, master_seed=args.seed
         )
-        _emit(_json_text(_report_payload(report)), args.out)
+        _emit(_rounded(report.to_dict()), args.out)
         return 0
     if args.h is None:
         raise ValidationError("assure needs --h (one value or a comma list) or --ml-region")
-    h_list = args.h if isinstance(args.h, list) else _parse_float_list(args.h, "--h")
     grid = parse_grid(args.grid)
     kwargs = dict(
         B_outer=args.B_outer,
@@ -269,19 +247,16 @@ def _cmd_assure(args: argparse.Namespace) -> int:
         threads=threads,
     )
     if args.tau_min is not None:
-        chosen, report = assure_mod.select_h(data, float(args.tau_min), h_list, **kwargs)
+        chosen, report = assure_mod.select_h(data, float(args.tau_min), args.h, **kwargs)
         payload = {"tau_min": _round6(args.tau_min), "chosen_h": _round6(chosen),
-                   "report": _report_payload(report)}
-        _emit(_json_text(payload), args.out)
+                   "report": _rounded(report.to_dict())}
+        _emit(payload, args.out)
         return 0
-    reports = assure_mod.assurance_sweep(data, h_list, **kwargs)
+    reports = assure_mod.assurance_sweep(data, args.h, **kwargs)
     if len(reports) == 1:
-        _emit(_json_text(_report_payload(reports[0])), args.out)
+        _emit(_rounded(reports[0].to_dict()), args.out)
     else:
-        lines = ["h,tau,L_bar,U_bar"]
-        for r in reports:
-            lines.append(f"{r.h:.6f},{r.tau_hat:.6f},{r.L_bar:.6f},{r.U_bar:.6f}")
-        _emit("\n".join(lines) + "\n", args.out)
+        assure_mod.reports_to_csv(reports, args.out or sys.stdout)
     return 0
 
 
@@ -291,23 +266,15 @@ def _cmd_test(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
     if args.theta_star is None:
         raise ValidationError("test needs --theta-star (one value or a comma list)")
-    thetas = (
-        args.theta_star
-        if isinstance(args.theta_star, list)
-        else _parse_float_list(args.theta_star, "--theta-star")
-    )
     results = []
-    for theta in thetas:
+    for theta in args.theta_star:
         # one master seed for all theta values: the bootstrap replicates are
         # shared, as on a grid
         result = ctest.corroboration_test(
             data, float(theta), method=args.method, B=args.B, master_seed=args.seed,
         )
-        payload = result.to_dict()
-        for key in ("theta_star", "observed_corroboration", "observed_power"):
-            payload[key] = _round6(payload[key])
-        results.append(payload)
-    _emit(_json_text(results[0] if len(results) == 1 else results), args.out)
+        results.append(_rounded(result.to_dict()))
+    _emit(results[0] if len(results) == 1 else results, args.out)
     return 0
 
 
@@ -318,29 +285,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValidationError("--setting is required (missing or matched)")
     if args.psi is None or args.sizes is None:
         raise ValidationError("simulate needs --psi and --sizes")
-    psi_values = args.psi if isinstance(args.psi, list) else _parse_float_list(args.psi, "--psi")
-    size_values = (
-        args.sizes if isinstance(args.sizes, list) else _parse_int_list(args.sizes, "--sizes")
-    )
-    if args.setting == "missing":
-        if len(psi_values) != 3:
-            raise ValidationError("missing-data --psi needs 3 probabilities (l11, l01, l_plus0)")
-        if len(size_values) != 1:
-            raise ValidationError("missing-data --sizes needs a single n")
-        psi = PsiMissing(*psi_values)
-        sizes: int | tuple[int, int] = size_values[0]
-    elif args.setting == "matched":
-        if len(psi_values) != 2:
-            raise ValidationError("matched-data --psi needs 2 probabilities (l1p, lp1)")
-        if len(size_values) != 2:
-            raise ValidationError("matched-data --sizes needs n1,n2")
-        psi = PsiMatched(*psi_values)
-        sizes = (size_values[0], size_values[1])
-    else:
-        raise ValidationError(f"unknown setting {args.setting!r}")
+    table_type = SETTINGS[args.setting]
+    for flag, values, names in (
+        ("--psi", args.psi, [f.name for f in fields(table_type.psi_type)]),
+        ("--sizes", args.sizes, table_type.size_names),
+    ):
+        if len(values) != len(names):
+            raise ValidationError(f"{args.setting}-data {flag} needs {','.join(names)}")
+    psi = table_type.psi_type(*args.psi)
+    sizes = args.sizes[0] if len(args.sizes) == 1 else tuple(args.sizes)
     grid = parse_grid(args.grid)
     curve = corr.corroboration_bootstrap(psi, sizes, grid, B=args.reps, master_seed=args.seed)
-    _emit(curve.to_csv_text(), args.out)
+    curve.to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -349,11 +305,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser, *, counts: bool = True) -> None:
     parser.add_argument("--setting", choices=["missing", "matched"], default=None)
     if counts:
-        parser.add_argument("--counts", default=None,
+        parser.add_argument("--counts", type=_int_list, default=None,
                             help="missing: n11,n01,n_plus0; matched: nx,n1,ny,n2")
     parser.add_argument("--config", default=None, help="JSON file with default option values")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=None,
                         help=f"worker cap for replicate loops (env {THREADS_ENV})")
 
@@ -370,26 +326,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="corroboration curve CSV")
     _add_common(p)
     p.add_argument("--method", choices=["bootstrap", "normal"], default=None)
-    p.add_argument("--grid", default=None, help="start:stop:step (default 0:1:0.001)")
-    p.add_argument("--B", type=int, default=None, help="bootstrap replicates (default 5000)")
+    p.add_argument("--grid", default=GRID, help=f"start:stop:step (default {GRID})")
+    p.add_argument("--B", type=int, default=5000, help="bootstrap replicates (default 5000)")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("levelset", help="corroboration level set")
     _add_common(p)
     p.add_argument("--method", choices=["bootstrap", "normal"], default=None)
-    p.add_argument("--grid", default=None)
-    p.add_argument("--B", type=int, default=None)
+    p.add_argument("--grid", default=GRID)
+    p.add_argument("--B", type=int, default=5000)
     p.add_argument("--alpha", type=float, default=None, help="corroboration level in (0, 1]")
     p.add_argument("--h", type=float, default=None, help="offset below the curve maximum")
     p.set_defaults(func=_cmd_levelset)
 
     p = sub.add_parser("assure", help="double-bootstrap assurance of offset-h sets")
     _add_common(p)
-    p.add_argument("--h", default=None, help="offset(s), comma-separated")
-    p.add_argument("--B-outer", dest="B_outer", type=int, default=None)
+    p.add_argument("--h", type=_float_list, default=None, help="offset(s), comma-separated")
+    p.add_argument("--B-outer", dest="B_outer", type=int, default=5000)
     p.add_argument("--inner-method", choices=["normal", "bootstrap"], default=None)
-    p.add_argument("--inner-B", dest="inner_B", type=int, default=None)
-    p.add_argument("--grid", default=None)
+    p.add_argument("--inner-B", dest="inner_B", type=int, default=assure_mod.DEFAULT_INNER_B)
+    p.add_argument("--grid", default=GRID)
     p.add_argument("--tau-min", dest="tau_min", type=float, default=None,
                    help="pick the largest h whose assurance reaches this level")
     p.add_argument("--ml-region", dest="ml_region", action="store_true",
@@ -398,44 +354,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="corroboration test")
     _add_common(p)
-    p.add_argument("--theta-star", dest="theta_star", default=None,
+    p.add_argument("--theta-star", dest="theta_star", type=_float_list, default=None,
                    help="value(s) under test, comma-separated")
     p.add_argument("--method", choices=["bootstrap", "normal"], default=None)
-    p.add_argument("--B", type=int, default=None)
+    p.add_argument("--B", type=int, default=5000)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("simulate", help="actual-corroboration curve at a hypothesized psi")
     _add_common(p, counts=False)
-    p.add_argument("--psi", default=None, help="missing: l11,l01,l_plus0; matched: l1p,lp1")
-    p.add_argument("--sizes", default=None, help="missing: n; matched: n1,n2")
-    p.add_argument("--reps", type=int, default=None, help="bootstrap replicates (default 5000)")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--psi", type=_float_list, default=None,
+                   help="missing: l11,l01,l_plus0; matched: l1p,lp1")
+    p.add_argument("--sizes", type=_int_list, default=None, help="missing: n; matched: n1,n2")
+    p.add_argument("--reps", type=int, default=5000, help="bootstrap replicates (default 5000)")
+    p.add_argument("--grid", default=GRID)
     p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "B": 5000,
-    "B_outer": 5000,
-    "inner_B": assure_mod.DEFAULT_INNER_B,
-    "reps": 5000,
-    "grid": "0:1:0.001",
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             parser.print_help(sys.stderr)
             return 1
-        _merge_config(args, _load_config(args.config))
-        for key, value in _DEFAULTS.items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, value)
+        if args.config is not None:
+            # argv[0] is the subcommand: the top-level parser has no options
+            tokens = _config_tokens(args, _load_config(args.config))
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return args.func(args)
     except ValidationError as exc:
         print(f"minfer: error: {exc}", file=sys.stderr)

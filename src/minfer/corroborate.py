@@ -9,7 +9,9 @@ the plug-in interval.
 
 Two estimators are provided:
 
-* ``corroboration_bootstrap`` resamples B replicate tables and averages
+* ``corroboration_bootstrap`` resamples B replicate tables (one ``draw``
+  of the parameter type per replicate stream, see ``model``), forms their
+  plug-in bounds from the integer counts, and averages
   closed-interval membership indicators. One set of B replicates serves
   every grid point (common random numbers), which keeps the empirical
   curve close to its population shape (nested, quasi-concave level sets)
@@ -37,7 +39,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Union
+from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 from scipy import integrate
@@ -45,8 +47,8 @@ from scipy.special import ndtr
 
 from .errors import DegenerateVariance, EmptyLevelSet, ValidationError
 from .identify import ThetaInterval, theta_interval
-from .model import Psi, PsiMatched, PsiMissing
-from .sampling import ReplicateStream, missing_pvals
+from .model import Psi, PsiMissing
+from .sampling import ReplicateStream
 
 GRID_STEP = 0.001
 NORMAL_TIE_EPS = 1e-9
@@ -57,9 +59,39 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 Sizes = Union[int, tuple[int, int]]
 
 
+def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str],
+              rows: Iterable[Sequence[float | None]]) -> None:
+    """Write a header and rows of numbers with 6 decimal places (None as an
+    empty field) to a path or an open text stream."""
+    if isinstance(destination, (str, os.PathLike)):
+        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+            write_csv(handle, header, rows)
+        return
+    destination.write(",".join(header) + "\n")
+    for row in rows:
+        destination.write(",".join("" if v is None else f"{v:.6f}" for v in row) + "\n")
+
+
+def corroboration_method(psi: Psi, method: str | None) -> str:
+    """``method``, or the setting's default when None: the normal
+    approximation where it exists (missing data), else the bootstrap."""
+    if method is None:
+        method = "normal" if psi.has_normal else "bootstrap"
+    if method not in ("normal", "bootstrap"):
+        raise ValidationError(f"unknown method {method!r}")
+    if method == "normal" and not psi.has_normal:
+        raise ValidationError("the normal approximation applies to the missing-data setting only")
+    return method
+
+
 def default_grid() -> np.ndarray:
     """Equispaced theta grid on [0, 1] with step 0.001 (1001 points)."""
     return GRID_STEP * np.arange(1001)
+
+
+def _as_grid(grid: np.ndarray | None) -> np.ndarray:
+    """``grid`` as a float array, or the default grid when None."""
+    return default_grid() if grid is None else np.asarray(grid, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -111,15 +143,9 @@ class CorroborationCurve:
             raise ValidationError(f"theta = {theta} is not a grid point of this curve")
         return float(self.values[idx[0]])
 
-    def to_csv(self, destination: str | IO[str]) -> None:
+    def to_csv(self, destination: str | os.PathLike | IO[str]) -> None:
         """Write ``theta,corroboration`` rows with 6 decimal places."""
-        if isinstance(destination, (str, os.PathLike)):
-            with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-                self.to_csv(handle)
-            return
-        destination.write("theta,corroboration\n")
-        for theta, value in zip(self.grid, self.values):
-            destination.write(f"{theta:.6f},{value:.6f}\n")
+        write_csv(destination, ("theta", "corroboration"), zip(self.grid, self.values))
 
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
@@ -139,23 +165,8 @@ class LevelSet:
 def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in interval bounds (L, U) of B replicate tables drawn at psi,
     one independent stream per replicate (spawn keys 0..B-1)."""
-    if isinstance(psi, PsiMissing):
-        n = int(sizes)  # type: ignore[arg-type]
-        pvals = missing_pvals(psi)
-        counts = np.empty((B, 3), dtype=np.int64)
-        for b in range(B):
-            counts[b] = ReplicateStream(master_seed, b).rng().multinomial(n, pvals)
-        return counts[:, 0] / n, (counts[:, 0] + counts[:, 2]) / n
-    if isinstance(psi, PsiMatched):
-        n1, n2 = (int(s) for s in sizes)  # type: ignore[misc]
-        p1 = np.empty(B)
-        p2 = np.empty(B)
-        for b in range(B):
-            rng = ReplicateStream(master_seed, b).rng()
-            p1[b] = rng.binomial(n1, psi.l1p) / n1
-            p2[b] = rng.binomial(n2, psi.lp1) / n2
-        return np.maximum(p1 + p2 - 1.0, 0.0), np.minimum(p1, p2)
-    raise TypeError(f"expected a Psi variant, got {type(psi).__name__}")
+    draws = [psi.draw(ReplicateStream(master_seed, b).rng(), sizes) for b in range(B)]
+    return psi.plug_in(np.array(draws).T, sizes)
 
 
 def bounds_batch_from_rng(psi: Psi, sizes: Sizes, B: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -165,16 +176,7 @@ def bounds_batch_from_rng(psi: Psi, sizes: Sizes, B: int, rng: np.random.Generat
     replicate's task; the outer replicate owns ``rng``, so reproducibility
     under parallel outer scheduling is unaffected.
     """
-    if isinstance(psi, PsiMissing):
-        n = int(sizes)  # type: ignore[arg-type]
-        counts = rng.multinomial(n, missing_pvals(psi), size=B)
-        return counts[:, 0] / n, (counts[:, 0] + counts[:, 2]) / n
-    if isinstance(psi, PsiMatched):
-        n1, n2 = (int(s) for s in sizes)  # type: ignore[misc]
-        p1 = rng.binomial(n1, psi.l1p, size=B) / n1
-        p2 = rng.binomial(n2, psi.lp1, size=B) / n2
-        return np.maximum(p1 + p2 - 1.0, 0.0), np.minimum(p1, p2)
-    raise TypeError(f"expected a Psi variant, got {type(psi).__name__}")
+    return psi.plug_in(psi.draw(rng, sizes, B), sizes)
 
 
 def coverage_share(lower: np.ndarray, upper: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -202,9 +204,7 @@ def corroboration_bootstrap(
     """
     if B < 1:
         raise ValidationError(f"replicate count B = {B} must be at least 1")
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = _as_grid(grid)
     lower, upper = bounds_batch_streams(psi, sizes, B, master_seed)
     values = coverage_share(lower, upper, grid)
     return CorroborationCurve(
@@ -214,6 +214,7 @@ def corroboration_bootstrap(
 
 
 def _normal_params(psi: PsiMissing, n: int) -> tuple[float, float, float, float, float]:
+    corroboration_method(psi, "normal")
     if n < 1:
         raise ValidationError(f"sample size n = {n} must be at least 1")
     if psi.l11 in (0.0, 1.0) or psi.l_plus0 in (0.0, 1.0):
@@ -237,8 +238,6 @@ def corroboration_normal(psi: PsiMissing, n: int, theta: float) -> float:
     times the conditional probability that the width reaches theta - a.
     Adaptive quadrature, absolute tolerance well below 1e-6.
     """
-    if not isinstance(psi, PsiMissing):
-        raise ValidationError("the normal approximation applies to the missing-data setting only")
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta = {theta} is not in [0, 1]")
     mu_a, mu_b, var_a, cov, cond_var = _normal_params(psi, n)
@@ -272,9 +271,7 @@ def corroboration_normal_curve(psi: PsiMissing, n: int, grid: np.ndarray | None 
     vectorizes; the integrand is analytic on each panel because the
     membership kink at a = theta is the upper integration limit.
     """
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = _as_grid(grid)
     mu_a, mu_b, var_a, cov, cond_var = _normal_params(psi, n)
     sd_a = math.sqrt(var_a)
     slope = cov / var_a
@@ -325,13 +322,7 @@ def asymptotic_corroboration(psi: Psi, theta: float) -> float | None:
         return 1.0
     if region.width == 0.0:
         return None
-    if isinstance(psi, PsiMissing):
-        if theta == region.lower:
-            return 0.5 if region.lower > 0.0 else None
-        return 0.5 if region.upper < 1.0 else None
-    if theta == region.lower:
-        return 0.5 if psi.l1p + psi.lp1 >= 1.0 else 1.0
-    return 0.5 if psi.l1p != psi.lp1 else 0.25
+    return psi.endpoint_limit(theta, region.lower, region.upper)
 
 
 def _hull(curve: CorroborationCurve, qualifying: np.ndarray) -> ThetaInterval:

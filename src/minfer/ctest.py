@@ -21,10 +21,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .corroborate import Sizes, bounds_batch_streams, corroboration_bootstrap, corroboration_normal
+from .corroborate import (
+    bounds_batch_streams,
+    corroboration_bootstrap,
+    corroboration_method,
+    corroboration_normal,
+)
 from .errors import BoundaryTheta, ThetaOutOfDomain, ValidationError
 from .identify import ml_region, theta_interval
-from .model import MissingTable, ObservedTable, Psi, PsiMissing, mle_psi
+from .model import ObservedTable, Psi, mle_psi
 from .sampling import derive_seed
 
 QUADRANT_HA = "support H_A"
@@ -51,21 +56,6 @@ class TestResult:
         return asdict(self)
 
 
-def _observed_corroboration(
-    data: ObservedTable, theta_star: float, method: str, B: int, master_seed: int
-) -> float:
-    psi_hat = mle_psi(data)
-    if method == "normal":
-        if not isinstance(data, MissingTable):
-            raise ValidationError("the normal method applies to missing-data inputs only")
-        return corroboration_normal(psi_hat, data.n, theta_star)
-    sizes: Sizes = data.n if isinstance(data, MissingTable) else (data.n1, data.n2)
-    curve = corroboration_bootstrap(
-        psi_hat, sizes, grid=np.array([theta_star]), B=B, master_seed=master_seed
-    )
-    return float(curve.values[0])
-
-
 def corroboration_test(
     data: ObservedTable,
     theta_star: float,
@@ -81,10 +71,8 @@ def corroboration_test(
     """
     if not 0.0 <= theta_star <= 1.0:
         raise ThetaOutOfDomain(f"theta_star = {theta_star} is not in [0, 1]")
-    if method is None:
-        method = "normal" if isinstance(data, MissingTable) else "bootstrap"
-    if method not in ("normal", "bootstrap"):
-        raise ValidationError(f"unknown method {method!r}")
+    psi_hat = mle_psi(data)
+    method = corroboration_method(psi_hat, method)
 
     region = ml_region(data)
     if region.strictly_inside(theta_star):
@@ -97,7 +85,12 @@ def corroboration_test(
         T = "boundary"
         decision = "indeterminate"
 
-    corroboration = _observed_corroboration(data, theta_star, method, B, master_seed)
+    if method == "normal":
+        corroboration = corroboration_normal(psi_hat, data.sizes, theta_star)
+    else:
+        corroboration = float(corroboration_bootstrap(
+            psi_hat, data.sizes, grid=np.array([theta_star]), B=B, master_seed=master_seed
+        ).values[0])
     power = 1.0 - corroboration
 
     if T == 1:
@@ -145,8 +138,7 @@ def chernoff_consistency_check(
         n = int(n)
         if n < 1:
             raise ValidationError(f"schedule entry n = {n} must be at least 1")
-        sizes: Sizes = n if isinstance(psi0, PsiMissing) else (n, n)
-        lo, up = bounds_batch_streams(psi0, sizes, reps, derive_seed(master_seed, i))
+        lo, up = bounds_batch_streams(psi0, psi0.sizes_for(n), reps, derive_seed(master_seed, i))
         rejected = ~((lo <= theta_star) & (theta_star <= up))
         rates.append((n, float(np.count_nonzero(rejected) / reps)))
     return rates

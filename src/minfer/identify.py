@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import MissingTable, ObservedTable, Psi, PsiMatched, PsiMissing, mle_psi
+from .model import ObservedTable, Psi
 
 
 @dataclass(frozen=True)
@@ -46,23 +46,16 @@ class ThetaInterval:
 
 def theta_interval(psi: Psi) -> ThetaInterval:
     """Interval of theta values consistent with the identifiable parameter."""
-    if isinstance(psi, PsiMissing):
-        return ThetaInterval(psi.l11, min(psi.l11 + psi.l_plus0, 1.0))
-    if isinstance(psi, PsiMatched):
-        lower = max(psi.l1p + psi.lp1 - 1.0, 0.0)
-        upper = min(psi.l1p, psi.lp1)
-        return ThetaInterval(lower, upper)
-    raise TypeError(f"expected a Psi variant, got {type(psi).__name__}")
+    return ThetaInterval(*psi.bounds())
 
 
 def ml_region(data: ObservedTable) -> ThetaInterval:
     """Plug-in interval at the MLE: the region of equally most likely theta.
 
-    For missing data the bounds are computed from integer counts,
+    The bounds come from the table's integer counts: for missing data
     (n11/n, (n11 + n_plus0)/n), so each endpoint is the correctly rounded
-    double of the exact rational value.
+    double of the exact rational value; for matched data the Frechet
+    bounds of (nx/n1, ny/n2).
     """
-    if isinstance(data, MissingTable):
-        n = data.n
-        return ThetaInterval(data.n11 / n, (data.n11 + data.n_plus0) / n)
-    return theta_interval(mle_psi(data))
+    lower, upper = data.psi_type.plug_in(data.cells, data.sizes)
+    return ThetaInterval(float(lower), float(upper))

@@ -14,10 +14,6 @@ The maximizer has three regimes:
   the mass ``theta`` is split across (l11, l_plus0) proportional to
   (n11, n_plus0).
 
-``profile_oracle`` re-solves the same constrained maximization numerically
-(coarse grid over the feasible simplex slice plus local polish) and exists
-solely to cross-check the closed form.
-
 Everything is computed in log space: simulated counts reach 1e6 and the
 likelihood product would underflow. Convention: a zero count contributes
 zero regardless of its cell probability; a positive count on a zero
@@ -31,28 +27,11 @@ independent of the outcome; it ignores n_plus0 entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ThetaOutOfDomain, ValidationError
+from .errors import ThetaOutOfDomain
 from .model import MissingTable
-
-
-@dataclass(frozen=True)
-class LikelihoodPoint:
-    """One grid evaluation of a likelihood: raw log value and the version
-    standardized so the best point on the grid scores 1."""
-
-    theta: float
-    log_lik: float
-    standardized: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.standardized <= 1.0:
-            raise ValidationError(
-                f"standardized likelihood {self.standardized} is not in [0, 1]"
-            )
 
 
 def _check_theta(theta: float) -> None:
@@ -105,54 +84,6 @@ def profile_log_lik(data: MissingTable, theta: float) -> float:
     return _log_lik(data, l11, l01, l_plus0)
 
 
-def _grid_log_lik(data: MissingTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # log likelihood in bound coordinates: l11 = u, l_plus0 = v - u,
-    # l01 = 1 - v; -inf where a positive count meets a zero probability
-    ll = np.zeros(np.broadcast(u, v).shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for count, p in ((data.n11, u), (data.n01, 1.0 - v), (data.n_plus0, v - u)):
-            if count > 0:
-                ll = ll + np.where(p > 0.0, count * np.log(np.maximum(p, 1e-300)), -np.inf)
-    return ll
-
-
-def profile_oracle(data: MissingTable, theta: float, points: int = 81, rounds: int = 5) -> float:
-    """Numerically maximize the constrained log likelihood; verification
-    oracle for ``profile_log_lik``, independent of the branch formulas.
-
-    Works in bound coordinates (u, v) = (l11, l11 + l_plus0), where the
-    constraint set {l11 <= theta <= l11 + l_plus0 <= 1} is the rectangle
-    [0, theta] x [theta, 1] and its edges are grid-aligned. Scans a grid,
-    then repeatedly zooms it around the incumbent; five rounds drive the
-    parameter resolution below 1e-7, comfortably past the 1e-6 target in
-    log likelihood.
-    """
-    _check_theta(theta)
-
-    u_lo, u_hi = 0.0, theta
-    v_lo, v_hi = theta, 1.0
-    best_val = -math.inf
-    for _ in range(rounds):
-        u_axis = np.linspace(u_lo, u_hi, points)
-        v_axis = np.linspace(v_lo, v_hi, points)
-        u, v = np.meshgrid(u_axis, v_axis, indexing="ij")
-        ll = _grid_log_lik(data, u, v)
-        idx = np.unravel_index(np.argmax(ll), ll.shape)
-        if not math.isfinite(float(ll[idx])):
-            return -math.inf
-        if float(ll[idx]) > best_val:
-            best_val = float(ll[idx])
-            best_u, best_v = float(u[idx]), float(v[idx])
-        # shrink the box to two old grid steps around the incumbent
-        step_u = (u_hi - u_lo) / (points - 1)
-        step_v = (v_hi - v_lo) / (points - 1)
-        u_lo = max(0.0, best_u - 2.0 * step_u)
-        u_hi = min(theta, best_u + 2.0 * step_u)
-        v_lo = max(theta, best_v - 2.0 * step_v)
-        v_hi = min(1.0, best_v + 2.0 * step_v)
-    return best_val
-
-
 def mcar_log_lik(data: MissingTable, theta: float) -> float:
     """Binomial log likelihood under outcome-independent response."""
     _check_theta(theta)
@@ -184,20 +115,3 @@ def mcar_curve(data: MissingTable, grid: np.ndarray) -> np.ndarray:
     values = np.array([mcar_log_lik(data, float(t)) for t in grid])
     return standardize(values)
 
-
-def _points(grid: np.ndarray, log_liks: np.ndarray) -> list[LikelihoodPoint]:
-    std = standardize(log_liks)
-    return [
-        LikelihoodPoint(float(t), float(ll), float(s))
-        for t, ll, s in zip(grid, log_liks, std)
-    ]
-
-
-def profile_points(data: MissingTable, grid: np.ndarray) -> list[LikelihoodPoint]:
-    """Profile likelihood over a grid as (theta, log_lik, standardized)."""
-    return _points(grid, np.array([profile_log_lik(data, float(t)) for t in grid]))
-
-
-def mcar_points(data: MissingTable, grid: np.ndarray) -> list[LikelihoodPoint]:
-    """Benchmark likelihood over a grid as (theta, log_lik, standardized)."""
-    return _points(grid, np.array([mcar_log_lik(data, float(t)) for t in grid]))

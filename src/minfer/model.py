@@ -8,6 +8,12 @@ Matched-data setting: two binary variables X and Y are observed in two
 independent samples; the observation is (nx out of n1, ny out of n2), with
 nx ~ binomial(n1, l1p) and ny ~ binomial(n2, lp1).
 
+Everything that differs between the settings is an attribute of these
+types, so callers never branch on the setting: a table's ``sizes`` and
+``cells`` (the counts a ``draw`` of the parameter type produces), and the
+parameter type's estimate and plug-in bounds from cells, identification
+bounds, and whether the normal approximation exists (``has_normal``).
+
 Counts are exact integers; estimated probabilities are double precision.
 Degenerate tables (zero cells) are accepted here and handled downstream.
 All types are immutable and safe to share across threads.
@@ -15,8 +21,11 @@ All types are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import EmptySample, InconsistentTotals, NegativeCount, ValidationError
 
@@ -31,46 +40,6 @@ def _coerce_counts(obj: object, names: Sequence[str]) -> None:
         if value < 0:
             raise NegativeCount(f"{name} = {value} is negative")
         object.__setattr__(obj, name, int(value))
-
-
-@dataclass(frozen=True)
-class MissingTable:
-    """Observed counts (n11, n01, n_plus0) in the missing-data setting."""
-
-    n11: int
-    n01: int
-    n_plus0: int
-
-    def __post_init__(self) -> None:
-        _coerce_counts(self, ("n11", "n01", "n_plus0"))
-        if self.n == 0:
-            raise EmptySample("total count n must be at least 1")
-
-    @property
-    def n(self) -> int:
-        return self.n11 + self.n01 + self.n_plus0
-
-
-@dataclass(frozen=True)
-class MatchedTable:
-    """Observed margins (nx of n1, ny of n2) in the matched-data setting."""
-
-    nx: int
-    n1: int
-    ny: int
-    n2: int
-
-    def __post_init__(self) -> None:
-        _coerce_counts(self, ("nx", "n1", "ny", "n2"))
-        if self.n1 == 0 or self.n2 == 0:
-            raise EmptySample("sample sizes n1 and n2 must be at least 1")
-        if self.nx > self.n1:
-            raise InconsistentTotals(f"nx = {self.nx} exceeds n1 = {self.n1}")
-        if self.ny > self.n2:
-            raise InconsistentTotals(f"ny = {self.ny} exceeds n2 = {self.n2}")
-
-
-ObservedTable = Union[MissingTable, MatchedTable]
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -89,12 +58,52 @@ class PsiMissing:
     l01: float
     l_plus0: float
 
+    has_normal = True
+
     def __post_init__(self) -> None:
         for name in ("l11", "l01", "l_plus0"):
             _check_probability(name, getattr(self, name))
         total = self.l11 + self.l01 + self.l_plus0
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValidationError(f"components sum to {total}, not 1")
+
+    @cached_property
+    def pvals(self) -> np.ndarray:
+        # clean simplex vector: multinomial samplers reject the tiny negative
+        # values or sum drift that the validation tolerance allows
+        p = np.clip([self.l11, self.l01, self.l_plus0], 0.0, 1.0)
+        return p / p.sum()
+
+    def draw(self, rng: np.random.Generator, sizes: int, size: int | None = None):
+        """Cells (c11, c01, c_plus0) of one multinomial(n = sizes) draw, or
+        three arrays of ``size`` draws."""
+        return rng.multinomial(sizes, self.pvals, size=size).T
+
+    @staticmethod
+    def from_cells(cells, n: int) -> PsiMissing:
+        c11, c01, c0 = cells
+        return PsiMissing(c11 / n, c01 / n, c0 / n)
+
+    @staticmethod
+    def plug_in(cells, n: int):
+        c11, _, c0 = cells
+        return c11 / n, (c11 + c0) / n
+
+    def bounds(self) -> tuple[float, float]:
+        return self.l11, min(self.l11 + self.l_plus0, 1.0)
+
+    def endpoint_limit(self, theta: float, lower: float, upper: float) -> float | None:
+        if theta == lower:
+            return 0.5 if lower > 0.0 else None
+        return 0.5 if upper < 1.0 else None
+
+    @staticmethod
+    def table(cells, n: int) -> MissingTable:
+        return MissingTable(*cells)
+
+    @staticmethod
+    def sizes_for(n: int) -> int:
+        return n
 
 
 @dataclass(frozen=True)
@@ -107,12 +116,112 @@ class PsiMatched:
     l1p: float
     lp1: float
 
+    has_normal = False
+
     def __post_init__(self) -> None:
         _check_probability("l1p", self.l1p)
         _check_probability("lp1", self.lp1)
 
+    def draw(self, rng: np.random.Generator, sizes: tuple[int, int], size: int | None = None):
+        """Cells (nx, ny) of one draw of binomial(n1, l1p), then of
+        binomial(n2, lp1), or two arrays of ``size`` draws."""
+        n1, n2 = sizes
+        return rng.binomial(n1, self.l1p, size=size), rng.binomial(n2, self.lp1, size=size)
+
+    @staticmethod
+    def from_cells(cells, sizes: tuple[int, int]) -> PsiMatched:
+        (nx, ny), (n1, n2) = cells, sizes
+        return PsiMatched(nx / n1, ny / n2)
+
+    @staticmethod
+    def plug_in(cells, sizes: tuple[int, int]):
+        (nx, ny), (n1, n2) = cells, sizes
+        p1, p2 = nx / n1, ny / n2
+        return np.maximum(p1 + p2 - 1.0, 0.0), np.minimum(p1, p2)
+
+    def bounds(self) -> tuple[float, float]:
+        return max(self.l1p + self.lp1 - 1.0, 0.0), min(self.l1p, self.lp1)
+
+    def endpoint_limit(self, theta: float, lower: float, upper: float) -> float | None:
+        if theta == lower:
+            return 0.5 if self.l1p + self.lp1 >= 1.0 else 1.0
+        return 0.5 if self.l1p != self.lp1 else 0.25
+
+    @staticmethod
+    def table(cells, sizes: tuple[int, int]) -> MatchedTable:
+        (nx, ny), (n1, n2) = cells, sizes
+        return MatchedTable(nx, n1, ny, n2)
+
+    @staticmethod
+    def sizes_for(n: int) -> tuple[int, int]:
+        return n, n
+
 
 Psi = Union[PsiMissing, PsiMatched]
+
+
+@dataclass(frozen=True)
+class MissingTable:
+    """Observed counts (n11, n01, n_plus0) in the missing-data setting."""
+
+    n11: int
+    n01: int
+    n_plus0: int
+
+    psi_type = PsiMissing
+    size_names = ("n",)
+
+    def __post_init__(self) -> None:
+        _coerce_counts(self, ("n11", "n01", "n_plus0"))
+        if self.n == 0:
+            raise EmptySample("total count n must be at least 1")
+
+    @property
+    def n(self) -> int:
+        return self.n11 + self.n01 + self.n_plus0
+
+    @property
+    def sizes(self) -> int:
+        return self.n
+
+    @property
+    def cells(self) -> tuple[int, int, int]:
+        return self.n11, self.n01, self.n_plus0
+
+
+@dataclass(frozen=True)
+class MatchedTable:
+    """Observed margins (nx of n1, ny of n2) in the matched-data setting."""
+
+    nx: int
+    n1: int
+    ny: int
+    n2: int
+
+    psi_type = PsiMatched
+    size_names = ("n1", "n2")
+
+    def __post_init__(self) -> None:
+        _coerce_counts(self, ("nx", "n1", "ny", "n2"))
+        if self.n1 == 0 or self.n2 == 0:
+            raise EmptySample("sample sizes n1 and n2 must be at least 1")
+        if self.nx > self.n1:
+            raise InconsistentTotals(f"nx = {self.nx} exceeds n1 = {self.n1}")
+        if self.ny > self.n2:
+            raise InconsistentTotals(f"ny = {self.ny} exceeds n2 = {self.n2}")
+
+    @property
+    def sizes(self) -> tuple[int, int]:
+        return self.n1, self.n2
+
+    @property
+    def cells(self) -> tuple[int, int]:
+        return self.nx, self.ny
+
+
+ObservedTable = Union[MissingTable, MatchedTable]
+
+SETTINGS = {"missing": MissingTable, "matched": MatchedTable}
 
 
 def validate(raw_counts: Sequence[int], setting: str) -> ObservedTable:
@@ -122,19 +231,15 @@ def validate(raw_counts: Sequence[int], setting: str) -> ObservedTable:
     (4 counts: nx, n1, ny, n2).
     """
     counts = list(raw_counts)
-    if setting == "missing":
-        if len(counts) != 3:
-            raise ValidationError(
-                f"missing-data input needs 3 counts (n11, n01, n_plus0), got {len(counts)}"
-            )
-        return MissingTable(*counts)
-    if setting == "matched":
-        if len(counts) != 4:
-            raise ValidationError(
-                f"matched-data input needs 4 counts (nx, n1, ny, n2), got {len(counts)}"
-            )
-        return MatchedTable(*counts)
-    raise ValidationError(f"unknown setting {setting!r}; expected 'missing' or 'matched'")
+    table_type = SETTINGS.get(setting) if isinstance(setting, str) else None
+    if table_type is None:
+        raise ValidationError(f"unknown setting {setting!r}; expected 'missing' or 'matched'")
+    names = [f.name for f in fields(table_type)]
+    if len(counts) != len(names):
+        raise ValidationError(
+            f"{setting}-data input needs {len(names)} counts ({', '.join(names)}), got {len(counts)}"
+        )
+    return table_type(*counts)
 
 
 def mle_psi(data: ObservedTable) -> Psi:
@@ -144,7 +249,4 @@ def mle_psi(data: ObservedTable) -> Psi:
     proportions (nx/n1, ny/n2). Boundary estimates (zero cells) are
     returned as-is.
     """
-    if isinstance(data, MissingTable):
-        n = data.n
-        return PsiMissing(data.n11 / n, data.n01 / n, data.n_plus0 / n)
-    return PsiMatched(data.nx / data.n1, data.ny / data.n2)
+    return data.psi_type.from_cells(data.cells, data.sizes)

@@ -5,6 +5,10 @@ dedicated stream derived from (master_seed, b) by numpy's SeedSequence
 spawn-key mechanism. Streams with distinct keys are statistically
 independent, identical keys reproduce identical draws, and results never
 depend on execution order, so parallel scheduling cannot change output.
+
+The counts of a replicate table come from one routine per setting,
+``draw`` on the parameter type (see ``model``); ``draw_observed`` wraps
+one such draw on a replicate's stream into a validated table.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import MatchedTable, MissingTable, ObservedTable, Psi, PsiMatched, PsiMissing
-
-SIMPLEX_TOL = 1e-12
+from .model import SIMPLEX_TOL, ObservedTable, Psi, PsiMatched, PsiMissing
 
 
 @dataclass(frozen=True)
@@ -72,37 +74,15 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def missing_pvals(psi: PsiMissing) -> list[float]:
-    """Cell probabilities of the missing-data law as a clean simplex vector.
-
-    Guards against tiny negative values or sum drift allowed by the
-    validation tolerance, which multinomial samplers reject.
-    """
-    p = np.clip([psi.l11, psi.l01, psi.l_plus0], 0.0, 1.0)
-    return list(p / p.sum())
-
-
 def draw_observed(psi: Psi, sizes: int | tuple[int, int], stream: ReplicateStream) -> ObservedTable:
     """One draw from the observed-data law at psi.
 
     ``sizes`` is the total n for a missing-data psi, or (n1, n2) for a
     matched-data psi.
     """
-    rng = stream.rng()
-    if isinstance(psi, PsiMissing):
-        n = int(sizes)  # type: ignore[arg-type]
-        if n < 1:
-            raise ValidationError(f"sample size n = {n} must be at least 1")
-        n11, n01, n_plus0 = rng.multinomial(n, missing_pvals(psi))
-        return MissingTable(int(n11), int(n01), int(n_plus0))
-    if isinstance(psi, PsiMatched):
-        n1, n2 = (int(s) for s in sizes)  # type: ignore[misc]
-        if n1 < 1 or n2 < 1:
-            raise ValidationError(f"sample sizes ({n1}, {n2}) must be at least 1")
-        nx = int(rng.binomial(n1, psi.l1p))
-        ny = int(rng.binomial(n2, psi.lp1))
-        return MatchedTable(nx, n1, ny, n2)
-    raise TypeError(f"expected a Psi variant, got {type(psi).__name__}")
+    if min(np.atleast_1d(sizes)) < 1:
+        raise ValidationError(f"sample sizes {sizes} must be at least 1")
+    return psi.table(psi.draw(stream.rng(), sizes), sizes)
 
 
 def draw_complete(truth: SimTruth, n: int, stream: ReplicateStream) -> tuple[int, int, int, int]:
@@ -113,5 +93,3 @@ def draw_complete(truth: SimTruth, n: int, stream: ReplicateStream) -> tuple[int
     p = np.clip([truth.l11, truth.l10, truth.l01, truth.l00], 0.0, 1.0)
     counts = stream.rng().multinomial(n, p / p.sum())
     return tuple(int(c) for c in counts)  # type: ignore[return-value]
-
-

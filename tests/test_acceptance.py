@@ -25,6 +25,7 @@ from scipy.stats import binom
 
 import minfer as m
 from minfer import cli
+from oracles import profile_oracle
 
 
 def _criterion(name: str, checks: list[tuple[str, bool, str]]) -> None:
@@ -127,7 +128,7 @@ def test_ac2_profile_likelihood_ratios(trial):
     worst = 0.0
     for theta in grid:
         closed = m.profile_log_lik(trial, float(theta))
-        oracle = m.profile_oracle(trial, float(theta))
+        oracle = profile_oracle(trial, float(theta))
         if np.isinf(closed) and np.isinf(oracle):
             continue
         worst = max(worst, abs(closed - oracle))

@@ -48,6 +48,12 @@ class TestStructure:
         assert report.singleton_count == 40
         assert report.L_bar == report.U_bar == 0.0
 
+    def test_grid_must_cover_plugin_region(self, trial):
+        # the plug-in region of 32,54,24 is [32/110, 56/110]
+        for grid in (np.linspace(0.6, 1.0, 41), np.linspace(0.0, 0.5, 51)):
+            with pytest.raises(m.ValidationError):
+                m.assurance_sweep(trial, [0.1], B_outer=5, grid=grid)
+
     def test_degenerate_variance_falls_back_to_bootstrap(self):
         # l11 = 0.1 with n = 10: about a third of the replicates estimate
         # l11 = 0 and cannot use the normal curve
@@ -156,3 +162,12 @@ class TestCsvExport:
         assert lines[1].startswith("0.050000,")
         for line in lines[1:]:
             assert len(line.split(",")) == 4
+
+    def test_writes_to_path(self, trial, tmp_path):
+        reports = m.assurance_sweep(
+            trial, [0.05, 0.3], B_outer=30, master_seed=12, grid=COARSE_GRID
+        )
+        buffer = io.StringIO()
+        m.reports_to_csv(reports, buffer)
+        m.reports_to_csv(reports, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text(encoding="utf-8") == buffer.getvalue()

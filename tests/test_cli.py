@@ -218,6 +218,13 @@ class TestAssure:
         assert code == 1
         assert "assurance" in err
 
+    def test_grid_must_cover_plugin_region(self, capsys):
+        code, out, err = run_cli(
+            ["assure", *TRIAL, "--h", "0.1", "--B-outer", "5", "--grid", "0.6:1:0.01"], capsys
+        )
+        assert code == 1 and out == ""
+        assert "plug-in region" in err
+
     def test_threads_flag_stable(self, tmp_path, capsys):
         base = ["assure", *TRIAL, "--h", "0.02,0.2", "--B-outer", "60",
                 "--grid", "0:1:0.01", "--seed", "9"]
@@ -325,6 +332,21 @@ class TestConfigAndEnv:
         config = tmp_path / "run.json"
         config.write_text("[1,2]", encoding="utf-8")
         assert run_cli(["analyze", "--config", str(config)], capsys)[0] == 1
+
+    def test_config_values_are_parsed_like_flags(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"B": "abc"}), encoding="utf-8")
+        code, _, err = run_cli(["curve", *TRIAL, "--config", str(config)], capsys)
+        assert code == 1
+        assert "internal error" not in err
+
+    def test_config_string_threads(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"threads": "4"}), encoding="utf-8")
+        args = ["assure", *TRIAL, "--h", "0.1", "--B-outer", "5", "--grid", "0:1:0.1"]
+        code, out, _ = run_cli([*args, "--config", str(config)], capsys)
+        assert code == 0
+        assert out == run_cli([*args, "--threads", "4"], capsys)[1]
 
     def test_threads_env(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.THREADS_ENV, "not-a-number")

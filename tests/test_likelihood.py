@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import minfer as m
+from oracles import profile_oracle
 
 
 class TestProfileValues:
@@ -34,7 +35,7 @@ class TestOracleAgreement:
         grid = np.linspace(0.01, 0.99, 50)
         for theta in grid:
             closed = m.profile_log_lik(trial, float(theta))
-            oracle = m.profile_oracle(trial, float(theta))
+            oracle = profile_oracle(trial, float(theta))
             assert closed == pytest.approx(oracle, abs=1e-6)
 
     def test_constraint_inactive_at_mle(self, trial):
@@ -43,14 +44,14 @@ class TestOracleAgreement:
             32 * math.log(32 / 110) + 54 * math.log(54 / 110) + 24 * math.log(24 / 110)
         )
         assert m.profile_log_lik(trial, theta) == pytest.approx(unconstrained, abs=1e-12)
-        assert m.profile_oracle(trial, theta) == pytest.approx(unconstrained, abs=1e-6)
+        assert profile_oracle(trial, theta) == pytest.approx(unconstrained, abs=1e-6)
 
     def test_matches_oracle_on_other_tables(self):
         for counts in ([5, 1, 9], [1, 1, 1], [40, 2, 7]):
             table = m.MissingTable(*counts)
             for theta in (0.05, 0.3, 0.62, 0.95):
                 assert m.profile_log_lik(table, theta) == pytest.approx(
-                    m.profile_oracle(table, theta), abs=1e-6
+                    profile_oracle(table, theta), abs=1e-6
                 )
 
 
@@ -135,22 +136,22 @@ class TestMcar:
 
 
 class TestLikelihoodPoints:
+    # the grid points of a curve agree with the pointwise log likelihoods
+
     def test_points_carry_consistent_fields(self, trial):
         grid = np.linspace(0.05, 0.95, 19)
-        points = m.profile_points(trial, grid)
-        assert len(points) == 19
-        peak = max(p.log_lik for p in points)
-        for p in points:
-            assert p.standardized == pytest.approx(np.exp(p.log_lik - peak), abs=1e-12)
-        assert max(p.standardized for p in points) == 1.0
+        log_liks = np.array([m.profile_log_lik(trial, float(t)) for t in grid])
+        std = m.profile_curve(trial, grid)
+        assert len(std) == 19
+        assert std == pytest.approx(np.exp(log_liks - log_liks.max()), abs=1e-12)
+        assert std.max() == 1.0
 
     def test_mcar_points(self, trial):
-        points = m.mcar_points(trial, np.linspace(0.1, 0.9, 9))
-        assert max(p.standardized for p in points) == 1.0
-
-    def test_invalid_standardized_rejected(self):
-        with pytest.raises(m.ValidationError):
-            m.LikelihoodPoint(0.5, -1.0, 1.5)
+        grid = np.linspace(0.1, 0.9, 9)
+        log_liks = np.array([m.mcar_log_lik(trial, float(t)) for t in grid])
+        std = m.mcar_curve(trial, grid)
+        assert std == pytest.approx(np.exp(log_liks - log_liks.max()), abs=1e-12)
+        assert std.max() == 1.0
 
 
 class TestStandardize:

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import minfer as m
+from minfer.corroborate import bounds_batch_from_rng, bounds_batch_streams
 
 
 class TestStreams:
@@ -56,6 +57,74 @@ class TestDrawObserved:
             m.draw_observed(m.PsiMissing(0.2, 0.5, 0.3), 0, m.ReplicateStream(0, 0))
         with pytest.raises(m.ValidationError):
             m.draw_observed(m.PsiMatched(0.2, 0.5), (0, 5), m.ReplicateStream(0, 0))
+
+
+class TestPinnedDraws:
+    """Replicate draws recorded before the per-setting draw code was merged
+    into one ``draw`` per parameter type: a change in the order or kind of
+    random calls, or in how bounds are formed from counts, shows here."""
+
+    MISSING = (m.PsiMissing(0.3, 0.5, 0.2), 50)
+    MATCHED = (m.PsiMatched(0.4, 0.7), (30, 20))
+    GRID = np.linspace(0.0, 1.0, 41)
+
+    def test_draw_observed(self):
+        stream = m.ReplicateStream(7, 3)
+        assert m.draw_observed(*self.MISSING, stream) == m.MissingTable(22, 24, 4)
+        assert m.draw_observed(*self.MATCHED, stream) == m.MatchedTable(18, 30, 17, 20)
+
+    def test_bounds_batch_streams(self):
+        lo, up = bounds_batch_streams(*self.MISSING, 6, 11)
+        assert lo.tolist() == [0.38, 0.36, 0.24, 0.16, 0.26, 0.24]
+        assert up.tolist() == [0.6, 0.54, 0.46, 0.34, 0.48, 0.54]
+        lo, up = bounds_batch_streams(*self.MATCHED, 6, 11)
+        assert lo.tolist() == [0.10000000000000009, 0.16666666666666652, 0.0, 0.0, 0.0, 0.0]
+        assert up.tolist() == [
+            0.5, 0.4666666666666667, 0.3, 0.2, 0.3333333333333333, 0.3333333333333333
+        ]
+
+    def test_bounds_batch_from_rng(self):
+        lo, up = bounds_batch_from_rng(*self.MISSING, 6, np.random.default_rng(5))
+        assert lo.tolist() == [0.36, 0.3, 0.2, 0.28, 0.2, 0.32]
+        assert up.tolist() == [0.58, 0.46, 0.42, 0.4, 0.62, 0.48]
+        lo, up = bounds_batch_from_rng(*self.MATCHED, 6, np.random.default_rng(5))
+        assert lo.tolist() == [
+            0.21666666666666679, 0.31666666666666665, 0.25, 0.0, 0.0, 0.16666666666666674
+        ]
+        assert up.tolist() == [
+            0.4666666666666667, 0.4666666666666667, 0.4, 0.3333333333333333,
+            0.26666666666666666, 0.36666666666666664,
+        ]
+
+    @pytest.mark.parametrize(
+        "data,inner,expected",
+        [
+            (m.MissingTable(32, 54, 24), "normal",
+             [(0.0, 0.40499999999999997, 0.40499999999999997, 5), (1.0, 0.37, 0.445, 0)]),
+            (m.MissingTable(32, 54, 24), "bootstrap",
+             [(0.4, 0.4, 0.42000000000000004, 3), (1.0, 0.37500000000000006, 0.445, 0)]),
+            (m.MatchedTable(30, 100, 40, 120), "bootstrap",
+             [(1.0, 0.0, 0.17, 0), (1.0, 0.0, 0.205, 0)]),
+        ],
+    )
+    def test_assurance_replicates(self, data, inner, expected):
+        reports = m.assurance_sweep(
+            data, [0.0, 0.1], B_outer=5, inner_method=inner, inner_B=40,
+            master_seed=9, grid=self.GRID,
+        )
+        assert [(r.tau_hat, r.L_bar, r.U_bar, r.singleton_count) for r in reports] == expected
+
+    def test_ml_region_replicates(self):
+        missing = m.assurance_of_ml_region(m.MissingTable(32, 54, 24), B_outer=7, master_seed=9)
+        assert (missing.tau_hat, missing.L_bar, missing.U_bar) == (
+            0.0, 0.3103896103896104, 0.5155844155844156
+        )
+        matched = m.assurance_of_ml_region(
+            m.MatchedTable(30, 100, 40, 120), B_outer=7, master_seed=9
+        )
+        assert (matched.tau_hat, matched.L_bar, matched.U_bar) == (
+            0.8571428571428571, 0.0, 0.26976190476190476
+        )
 
 
 class TestDrawComplete:

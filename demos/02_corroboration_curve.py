@@ -23,7 +23,8 @@ print(f"plug-in region: [{region.lower:.4f}, {region.upper:.4f}]")
 # The bootstrap resamples tables at the estimated parameter and averages
 # interval-membership indicators; one replicate set serves every theta.
 # The normal approximation replaces the joint law of the two estimated
-# bounds with a bivariate normal and integrates, no simulation involved.
+# bounds with a bivariate normal, whose coverage has a closed form in
+# Owen's T function: no simulation and no numerical integration involved.
 grid = m.default_grid()
 boot = m.corroboration_bootstrap(psi, data.n, grid, B=5000, master_seed=1)
 smooth = m.corroboration_normal_curve(psi, data.n, grid)

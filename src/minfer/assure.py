@@ -12,7 +12,7 @@ requested offset h on the shared replicates:
    ``data`` (one ``draw`` of the parameter type on the stream spawned
    from (master_seed, b)) and take its MLE;
 2. compute the replicate's corroboration curve at its own MLE on the same
-   theta grid (inner method: normal quadrature or a nested bootstrap
+   theta grid (inner method: closed-form normal curve or nested bootstrap
    consuming the replicate's stream), and extract the interval of points
    within h of the curve maximum, [L_b, U_b];
 3. set delta_b = 1 exactly when Lhat <= L_b < U_b <= Uhat, where
@@ -27,15 +27,14 @@ point contributes delta_b = 0; such replicates are tallied in
 ``singleton_count`` because smooth inner curves at h = 0 produce them
 every time and the tally is the honest signal of that regime.
 
-Outer replicates are independent; ``threads`` caps a worker pool that
-fills per-replicate slots by index, so results are identical for any
-thread count.
+Outer replicates run serially, each on its own stream. ``threads`` is
+accepted for compatibility and has no effect; with the closed-form inner
+curve a worker pool did not pay for itself.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
@@ -143,7 +142,7 @@ def assurance_sweep(
     fallbacks = np.zeros(B_outer, dtype=bool)
     h_arr = np.asarray(hs)
 
-    def run_replicate(b: int) -> None:
+    for b in range(B_outer):
         rng = ReplicateStream(master_seed, b).rng()
         psi_b = psi_hat.from_cells(psi_hat.draw(rng, sizes), sizes)
         tie = NORMAL_TIE_EPS
@@ -162,13 +161,6 @@ def assurance_sweep(
             idx = np.nonzero(values >= thresholds[i])[0]
             lower[i, b] = grid[idx[0]]
             upper[i, b] = grid[idx[-1]]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_replicate, range(B_outer)))
-    else:
-        for b in range(B_outer):
-            run_replicate(b)
 
     return [
         _report(

@@ -37,7 +37,6 @@ from .model import SETTINGS, MissingTable, ObservedTable, mle_psi, validate
 
 THREADS_ENV = "MINFER_THREADS"
 GRID = "0:1:0.001"
-MAX_THREADS = 64
 
 
 class _UsageError(ValidationError):
@@ -109,12 +108,14 @@ def _load_config(path: str) -> dict:
 
 
 def _config_tokens(args: argparse.Namespace, config: dict) -> list[str]:
-    # one flag per config key that the subcommand knows (others are
-    # ignored): true is a bare switch, a list becomes a comma list
+    # one flag per config key that the subcommand knows, a warning for
+    # others: true is a bare switch, a list becomes a comma list
     tokens = []
     for key, value in config.items():
         attr = key.replace("-", "_")
         if attr in ("config", "func", "command") or not hasattr(args, attr):
+            print(f"minfer: warning: config key {key!r} is not an option of "
+                  f"{args.command}; ignored", file=sys.stderr)
             continue
         if value is None or value is False:
             continue
@@ -125,19 +126,16 @@ def _config_tokens(args: argparse.Namespace, config: dict) -> list[str]:
     return tokens
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ValidationError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-    if value is None:
-        value = 1
-    if value < 1:
+def _check_threads(value: int | None) -> None:
+    # the thread count has no effect, but a bad value is still an input error
+    env = os.environ.get(THREADS_ENV)
+    if value is None and env is not None:
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise ValidationError(f"{THREADS_ENV}={env!r} is not an integer") from exc
+    if value is not None and value < 1:
         raise ValidationError(f"thread count {value} must be at least 1")
-    return min(int(value), MAX_THREADS)
 
 
 def _table_from_args(args: argparse.Namespace) -> ObservedTable:
@@ -228,7 +226,7 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
 
 def _cmd_assure(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
-    threads = _resolve_threads(args.threads)
+    _check_threads(args.threads)
     if args.ml_region:
         report = assure_mod.assurance_of_ml_region(
             data, B_outer=args.B_outer, master_seed=args.seed
@@ -244,7 +242,6 @@ def _cmd_assure(args: argparse.Namespace) -> int:
         inner_B=args.inner_B,
         master_seed=args.seed,
         grid=grid,
-        threads=threads,
     )
     if args.tau_min is not None:
         chosen, report = assure_mod.select_h(data, float(args.tau_min), args.h, **kwargs)
@@ -311,7 +308,7 @@ def _add_common(parser: argparse.ArgumentParser, *, counts: bool = True) -> None
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker cap for replicate loops (env {THREADS_ENV})")
+                        help=f"accepted for compatibility, no effect (env {THREADS_ENV})")
 
 
 def build_parser() -> argparse.ArgumentParser:

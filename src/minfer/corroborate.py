@@ -16,14 +16,12 @@ Two estimators are provided:
   every grid point (common random numbers), which keeps the empirical
   curve close to its population shape (nested, quasi-concave level sets)
   and makes the cost independent of the grid size.
-* ``corroboration_normal`` (missing-data setting only) replaces the joint
-  law of the two estimated bounds with a bivariate normal with matching
-  moments, and integrates the resulting coverage probability by
-  one-dimensional adaptive quadrature over the lower bound, conditioning
-  the upper offset on it. ``corroboration_normal_curve`` evaluates the
-  same integral on a whole grid at once with fixed Gauss-Legendre panels
-  (the integrand is analytic once the membership kink is made an
-  integration limit); it agrees with the adaptive version to ~1e-12.
+* ``corroboration_normal`` and ``corroboration_normal_curve`` (missing-data
+  setting only) replace the joint law of the two estimated bounds with a
+  bivariate normal with matching moments. The coverage P(L <= theta <= U)
+  is then Phi(h) - Phi2(h, k; rho) in closed form: the bivariate normal CDF
+  is exact in Owen's T function (Owen 1956, Ann. Math. Statist. 27:1075;
+  Genz 2004, Stat. Comput. 14:251), vectorized over the grid.
 
 Level sets of a curve are reported as the convex hull of qualifying grid
 points: the population level sets are intervals, so raggedness from a
@@ -42,8 +40,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .errors import DegenerateVariance, EmptyLevelSet, ValidationError
 from .identify import ThetaInterval, theta_interval
@@ -52,9 +49,6 @@ from .sampling import ReplicateStream
 
 GRID_STEP = 0.001
 NORMAL_TIE_EPS = 1e-9
-_TAIL_SIGMAS = 13.0
-_GL_PANELS = 10
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 Sizes = Union[int, tuple[int, int]]
 
@@ -172,9 +166,8 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
 def bounds_batch_from_rng(psi: Psi, sizes: Sizes, B: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Replicate bounds drawn sequentially from one generator.
 
-    For nested bootstrap layers that already run inside a single outer
-    replicate's task; the outer replicate owns ``rng``, so reproducibility
-    under parallel outer scheduling is unaffected.
+    For nested bootstrap layers inside one outer replicate, which owns
+    ``rng``.
     """
     return psi.plug_in(psi.draw(rng, sizes, B), sizes)
 
@@ -204,6 +197,8 @@ def corroboration_bootstrap(
     """
     if B < 1:
         raise ValidationError(f"replicate count B = {B} must be at least 1")
+    if np.min(sizes) < 1:
+        raise ValidationError(f"sample sizes {sizes} must be at least 1")
     grid = _as_grid(grid)
     lower, upper = bounds_batch_streams(psi, sizes, B, master_seed)
     values = coverage_share(lower, upper, grid)
@@ -213,7 +208,17 @@ def corroboration_bootstrap(
     )
 
 
-def _normal_params(psi: PsiMissing, n: int) -> tuple[float, float, float, float, float]:
+def _owen_t(x: np.ndarray, num: np.ndarray, scale: float) -> np.ndarray:
+    """Owen's T(x, num / (x * scale)); at x = 0 the second argument is
+    infinite with the sign of ``num``, so T(0, +-inf) = +-1/4."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(x == 0.0, np.copysign(np.inf, num), num / (x * scale))
+    return owens_t(x, a)
+
+
+def _normal_values(psi: PsiMissing, n: int, theta: np.ndarray) -> np.ndarray:
+    """Normal-approximation coverage P(L <= theta <= U) at each theta, with
+    h and k the standardized distances of theta from the means of L and U."""
     corroboration_method(psi, "normal")
     if n < 1:
         raise ValidationError(f"sample size n = {n} must be at least 1")
@@ -226,82 +231,42 @@ def _normal_params(psi: PsiMissing, n: int) -> tuple[float, float, float, float,
     cov = -psi.l11 * psi.l_plus0 / n
     # conditional variance of the width given the lower bound; zero iff l01 = 0
     cond_var = max(var_b - cov * cov / var_a, 0.0)
-    return psi.l11, psi.l_plus0, var_a, cov, cond_var
+    sd_a = math.sqrt(var_a)
+    h = (theta - psi.l11) / sd_a
+    if cond_var <= 0.0:
+        # width degenerates to 1 - lower: coverage reduces to Pr(lower <= theta)
+        return ndtr(h)
+    # U = lower + width moves with the lower bound by ``gain`` plus an
+    # independent residual of variance cond_var
+    gain = 1.0 + cov / var_a
+    sd_u = math.sqrt(gain * gain * var_a + cond_var)
+    rho = gain * sd_a / sd_u
+    sqrt_one_minus_rho2 = math.sqrt(cond_var) / sd_u
+    k = (theta - psi.l11 - psi.l_plus0) / sd_u
+    # Owen's identity: Phi2(h, k; rho) = (Phi(h) + Phi(k)) / 2
+    #   - T(h, (k - rho h) / (h s)) - T(k, (h - rho k) / (k s)) - beta,
+    # s = sqrt(1 - rho^2), beta = 1/2 when h and k straddle zero
+    beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    phi2 = (0.5 * (ndtr(h) + ndtr(k))
+            - _owen_t(h, k - rho * h, sqrt_one_minus_rho2)
+            - _owen_t(k, h - rho * k, sqrt_one_minus_rho2)
+            - beta)
+    return np.clip(ndtr(h) - phi2, 0.0, 1.0)
 
 
 def corroboration_normal(psi: PsiMissing, n: int, theta: float) -> float:
-    """Normal-approximation corroboration of one theta (missing data).
-
-    The estimated bounds (lower, lower + width) are treated as bivariate
-    normal with the multinomial moments; the coverage probability is the
-    integral over lower-bound values a <= theta of the normal density
-    times the conditional probability that the width reaches theta - a.
-    Adaptive quadrature, absolute tolerance well below 1e-6.
-    """
+    """Normal-approximation corroboration of one theta (missing data); see
+    ``_normal_values``."""
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta = {theta} is not in [0, 1]")
-    mu_a, mu_b, var_a, cov, cond_var = _normal_params(psi, n)
-    sd_a = math.sqrt(var_a)
-    slope = cov / var_a
-    lo = mu_a - _TAIL_SIGMAS * sd_a
-    hi = mu_a + _TAIL_SIGMAS * sd_a
-    up = min(theta, hi)
-    if up <= lo:
-        return 0.0
-    if cond_var <= 0.0:
-        # width degenerates to 1 - lower: coverage reduces to Pr(lower <= theta)
-        return float(ndtr((up - mu_a) / sd_a) - ndtr((lo - mu_a) / sd_a))
-    sd_cond = math.sqrt(cond_var)
-
-    def integrand(a: float) -> float:
-        z = (a - mu_a) / sd_a
-        density = math.exp(-0.5 * z * z) / (sd_a * math.sqrt(2.0 * math.pi))
-        mu_cond = mu_b + slope * (a - mu_a)
-        return density * ndtr((mu_cond - (theta - a)) / sd_cond)
-
-    value, _ = integrate.quad(integrand, lo, up, epsabs=1e-9, epsrel=1e-10, limit=200)
-    return float(min(max(value, 0.0), 1.0))
+    return float(_normal_values(psi, n, np.array([float(theta)]))[0])
 
 
 def corroboration_normal_curve(psi: PsiMissing, n: int, grid: np.ndarray | None = None) -> CorroborationCurve:
-    """Normal-approximation corroboration over a whole grid.
-
-    Same integral as ``corroboration_normal``, evaluated with
-    ``_GL_PANELS`` Gauss-Legendre panels per grid point so the grid
-    vectorizes; the integrand is analytic on each panel because the
-    membership kink at a = theta is the upper integration limit.
-    """
+    """Normal-approximation corroboration over a whole grid."""
     grid = _as_grid(grid)
-    mu_a, mu_b, var_a, cov, cond_var = _normal_params(psi, n)
-    sd_a = math.sqrt(var_a)
-    slope = cov / var_a
-    lo = mu_a - _TAIL_SIGMAS * sd_a
-    hi = mu_a + _TAIL_SIGMAS * sd_a
-    upper_limits = np.minimum(grid, hi)
-    values = np.zeros_like(grid)
-    active = upper_limits > lo
-    if active.any():
-        if cond_var <= 0.0:
-            values[active] = ndtr((upper_limits[active] - mu_a) / sd_a) - ndtr(
-                (lo - mu_a) / sd_a
-            )
-        else:
-            sd_cond = math.sqrt(cond_var)
-            width = upper_limits[active] - lo
-            edges = lo + width[:, None] * np.linspace(0.0, 1.0, _GL_PANELS + 1)[None, :]
-            half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            a = mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]
-            weights = half[:, :, None] * _GL_WEIGHTS[None, None, :]
-            z = (a - mu_a) / sd_a
-            density = np.exp(-0.5 * z * z) / (sd_a * math.sqrt(2.0 * math.pi))
-            mu_cond = mu_b + slope * (a - mu_a)
-            theta_col = grid[active][:, None, None]
-            survival = ndtr((mu_cond - (theta_col - a)) / sd_cond)
-            values[active] = (weights * density * survival).sum(axis=(1, 2))
-    values = np.clip(values, 0.0, 1.0)
     return CorroborationCurve(
-        grid=grid, values=values, method="normal", psi_at=psi, sizes=n,
+        grid=grid, values=_normal_values(psi, n, grid), method="normal", psi_at=psi, sizes=n,
     )
 
 

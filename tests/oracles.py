@@ -4,13 +4,28 @@
 ``minfer.profile_log_lik`` numerically (a grid over the feasible slice of
 the simplex, zoomed around the incumbent), independently of the closed
 form's three regimes.
+
+``normal_quad`` and ``normal_panels`` integrate the normal-approximation
+coverage behind ``minfer.corroboration_normal`` numerically, independently
+of its closed form in Owen's T function: the integral over lower-bound
+values a <= theta of the normal density times the conditional probability
+that the upper bound reaches theta. ``normal_quad`` uses adaptive
+quadrature at one theta; ``normal_panels`` uses fixed Gauss-Legendre panels
+over a whole grid (the integrand is analytic on each panel because the
+membership kink at a = theta is the upper integration limit).
 """
 
 import math
 
 import numpy as np
+from scipy import integrate
+from scipy.special import ndtr
 
-from minfer import MissingTable
+from minfer import MissingTable, PsiMissing
+
+TAIL_SIGMAS = 13.0
+GL_PANELS = 10
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def _grid_log_lik(data: MissingTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -58,3 +73,64 @@ def profile_oracle(data: MissingTable, theta: float, points: int = 81, rounds: i
         v_lo = max(theta, best_v - 2.0 * step_v)
         v_hi = min(1.0, best_v + 2.0 * step_v)
     return best_val
+
+
+def _normal_moments(psi: PsiMissing, n: int) -> tuple[float, float, float, float, float]:
+    # means of the lower bound and the width, sd of the lower bound, the
+    # regression slope of the width on it and the conditional variance
+    var_a = psi.l11 * (1.0 - psi.l11) / n
+    var_b = psi.l_plus0 * (1.0 - psi.l_plus0) / n
+    cov = -psi.l11 * psi.l_plus0 / n
+    cond_var = max(var_b - cov * cov / var_a, 0.0)
+    return psi.l11, psi.l_plus0, math.sqrt(var_a), cov / var_a, cond_var
+
+
+def normal_quad(psi: PsiMissing, n: int, theta: float) -> float:
+    """Normal-approximation coverage of one theta by adaptive quadrature,
+    absolute tolerance well below 1e-6."""
+    mu_a, mu_b, sd_a, slope, cond_var = _normal_moments(psi, n)
+    lo = mu_a - TAIL_SIGMAS * sd_a
+    up = min(theta, mu_a + TAIL_SIGMAS * sd_a)
+    if up <= lo:
+        return 0.0
+    if cond_var <= 0.0:
+        # width degenerates to 1 - lower: coverage reduces to Pr(lower <= theta)
+        return float(ndtr((up - mu_a) / sd_a) - ndtr((lo - mu_a) / sd_a))
+    sd_cond = math.sqrt(cond_var)
+
+    def integrand(a: float) -> float:
+        z = (a - mu_a) / sd_a
+        density = math.exp(-0.5 * z * z) / (sd_a * math.sqrt(2.0 * math.pi))
+        mu_cond = mu_b + slope * (a - mu_a)
+        return density * ndtr((mu_cond - (theta - a)) / sd_cond)
+
+    value, _ = integrate.quad(integrand, lo, up, epsabs=1e-9, epsrel=1e-10, limit=200)
+    return float(min(max(value, 0.0), 1.0))
+
+
+def normal_panels(psi: PsiMissing, n: int, grid: np.ndarray) -> np.ndarray:
+    """Normal-approximation coverage over a grid with ``GL_PANELS``
+    Gauss-Legendre panels per grid point; agrees with ``normal_quad`` to
+    ~1e-12."""
+    grid = np.asarray(grid, dtype=float)
+    mu_a, mu_b, sd_a, slope, cond_var = _normal_moments(psi, n)
+    lo = mu_a - TAIL_SIGMAS * sd_a
+    upper_limits = np.minimum(grid, mu_a + TAIL_SIGMAS * sd_a)
+    values = np.zeros_like(grid)
+    active = upper_limits > lo
+    if cond_var <= 0.0:
+        values[active] = ndtr((upper_limits[active] - mu_a) / sd_a) - ndtr((lo - mu_a) / sd_a)
+    elif active.any():
+        sd_cond = math.sqrt(cond_var)
+        width = upper_limits[active] - lo
+        edges = lo + width[:, None] * np.linspace(0.0, 1.0, GL_PANELS + 1)[None, :]
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+        a = mid[:, :, None] + half[:, :, None] * GL_NODES[None, None, :]
+        weights = half[:, :, None] * GL_WEIGHTS[None, None, :]
+        z = (a - mu_a) / sd_a
+        density = np.exp(-0.5 * z * z) / (sd_a * math.sqrt(2.0 * math.pi))
+        mu_cond = mu_b + slope * (a - mu_a)
+        survival = ndtr((mu_cond - (grid[active][:, None, None] - a)) / sd_cond)
+        values[active] = (weights * density * survival).sum(axis=(1, 2))
+    return np.clip(values, 0.0, 1.0)

@@ -289,6 +289,18 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_sizes_below_one_rejected(self, capsys):
+        for setting, psi, sizes in (("missing", "0.3,0.5,0.2", "0"),
+                                    ("missing", "0.3,0.5,0.2", "-3"),
+                                    ("matched", "0.3,0.3", "0,5")):
+            code, out, err = run_cli(
+                ["simulate", "--setting", setting, "--psi", psi, "--sizes", sizes,
+                 "--reps", "10", "--grid", "0:1:0.5"],
+                capsys,
+            )
+            assert code == 1 and out == ""
+            assert "must be at least 1" in err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["simulate", "--setting", "matched", "--psi", "0.1,0.9",
                 "--sizes", "100,50", "--reps", "400", "--grid", "0:1:0.02", "--seed", "11"]
@@ -327,6 +339,14 @@ class TestConfigAndEnv:
         code, out, _ = run_cli(["analyze", "--config", str(config)], capsys)
         assert code == 0
         assert json.loads(out)["n"] == 110
+
+    def test_unknown_config_key_warns(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seeed": 3}), encoding="utf-8")
+        code, out, err = run_cli(["analyze", *TRIAL, "--config", str(config)], capsys)
+        assert code == 0
+        assert out == run_cli(["analyze", *TRIAL], capsys)[1]
+        assert err == "minfer: warning: config key 'seeed' is not an option of analyze; ignored\n"
 
     def test_bad_config(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -370,6 +390,14 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 110
+
+    def test_import_skips_numerical_integration(self):
+        # the normal curve is closed-form: importing the CLI loads no quadrature
+        code = ("import sys, minfer.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_entry_point_error_path(self):
         proc = subprocess.run(

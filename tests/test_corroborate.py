@@ -5,6 +5,8 @@ import pytest
 
 import minfer as m
 from minfer.corroborate import bounds_batch_streams
+from minfer.sampling import ReplicateStream
+from oracles import normal_panels, normal_quad
 
 TRIAL_N = 110
 
@@ -37,6 +39,11 @@ class TestBootstrap:
             trial_psi, TRIAL_N, grid=np.linspace(0.1, 0.9, 33), B=77, master_seed=3
         )
         assert np.all(np.abs(curve.values * 77 - np.round(curve.values * 77)) < 1e-9)
+
+    def test_sample_sizes_below_one_rejected(self, trial_psi):
+        for psi, sizes in ((trial_psi, 0), (trial_psi, -3), (m.PsiMatched(0.3, 0.3), (0, 5))):
+            with pytest.raises(m.ValidationError):
+                m.corroboration_bootstrap(psi, sizes, B=10, master_seed=0)
 
     def test_deterministic_given_seed(self, trial_psi):
         a = m.corroboration_bootstrap(trial_psi, TRIAL_N, B=500, master_seed=11)
@@ -77,8 +84,30 @@ class TestNormal:
         grid = np.linspace(0.0, 1.0, 101)
         curve = m.corroboration_normal_curve(trial_psi, TRIAL_N, grid)
         for i in (0, 5, 20, 29, 40, 51, 60, 77, 95, 100):
-            reference = m.corroboration_normal(trial_psi, TRIAL_N, float(grid[i]))
+            reference = normal_quad(trial_psi, TRIAL_N, float(grid[i]))
             assert curve.values[i] == pytest.approx(reference, abs=1e-9)
+
+    def test_lattice_points_match_quadrature(self, trial_psi):
+        # theta = 32/110 is the mean of the lower bound, where the closed
+        # form evaluates Owen's T at x = 0
+        for k in range(TRIAL_N + 1):
+            theta = k / TRIAL_N
+            assert m.corroboration_normal(trial_psi, TRIAL_N, theta) == pytest.approx(
+                normal_quad(trial_psi, TRIAL_N, theta), abs=1e-9
+            )
+
+    def test_replicate_tables_match_panels(self, trial, trial_psi):
+        # every distinct table of a 1000-replicate outer draw, as assurance
+        # sees them, on the default grid plus the table's own plug-in bounds
+        tables = {
+            tuple(trial_psi.draw(ReplicateStream(0, b).rng(), TRIAL_N)) for b in range(1000)
+        }
+        assert len(tables) == 336
+        for cells in tables:
+            psi = trial_psi.from_cells(np.array(cells), TRIAL_N)
+            grid = np.union1d(m.default_grid(), [psi.l11, psi.l11 + psi.l_plus0])
+            curve = m.corroboration_normal_curve(psi, TRIAL_N, grid)
+            assert np.max(np.abs(curve.values - normal_panels(psi, TRIAL_N, grid))) <= 1e-12
 
     def test_interior_point_tends_to_one(self):
         psi = m.PsiMissing(0.3, 0.5, 0.2)

@@ -53,7 +53,7 @@ from .corroborate import (
 from .errors import DegenerateVariance, NoQualifyingH, ValidationError
 from .identify import ThetaInterval, ml_region
 from .model import ObservedTable, mle_psi
-from .sampling import ReplicateStream
+from .sampling import replicate_rngs
 
 DEFAULT_INNER_B = 1000
 
@@ -142,8 +142,7 @@ def assurance_sweep(
     fallbacks = np.zeros(B_outer, dtype=bool)
     h_arr = np.asarray(hs)
 
-    for b in range(B_outer):
-        rng = ReplicateStream(master_seed, b).rng()
+    for b, rng in enumerate(replicate_rngs(master_seed, B_outer)):
         psi_b = psi_hat.from_cells(psi_hat.draw(rng, sizes), sizes)
         tie = NORMAL_TIE_EPS
         values = None

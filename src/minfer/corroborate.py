@@ -45,7 +45,7 @@ from scipy.special import ndtr, owens_t
 from .errors import DegenerateVariance, EmptyLevelSet, ValidationError
 from .identify import ThetaInterval, theta_interval
 from .model import Psi, PsiMissing
-from .sampling import ReplicateStream
+from .sampling import replicate_rngs
 
 GRID_STEP = 0.001
 NORMAL_TIE_EPS = 1e-9
@@ -159,7 +159,7 @@ class LevelSet:
 def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in interval bounds (L, U) of B replicate tables drawn at psi,
     one independent stream per replicate (spawn keys 0..B-1)."""
-    draws = [psi.draw(ReplicateStream(master_seed, b).rng(), sizes) for b in range(B)]
+    draws = [psi.draw(rng, sizes) for rng in replicate_rngs(master_seed, B)]
     return psi.plug_in(np.array(draws).T, sizes)
 
 

@@ -1,10 +1,16 @@
 """Seeded random generation of observed and complete tables.
 
 Every Monte Carlo routine in this package draws replicate b from a
-dedicated stream derived from (master_seed, b) by numpy's SeedSequence
-spawn-key mechanism. Streams with distinct keys are statistically
-independent, identical keys reproduce identical draws, and results never
-depend on execution order, so parallel scheduling cannot change output.
+dedicated stream: the generator numpy's ``default_rng`` builds from
+``SeedSequence(master_seed, spawn_key=(b,))``. Streams with distinct keys
+are statistically independent and identical keys reproduce identical
+draws, so a result depends only on its arguments and master seed.
+
+``replicate_rngs`` is the one seeding routine. It runs SeedSequence's hash
+here, on the master seed once, and mixes the spawn word b into the pool
+for all replicates in one vectorized pass; ``ReplicateStream.rng`` and
+``derive_seed`` use the same hash for a single key. numpy's SeedSequence
+itself is the test oracle: the generators agree with it bit for bit.
 
 The counts of a replicate table come from one routine per setting,
 ``draw`` on the parameter type (see ``model``); ``draw_observed`` wraps
@@ -13,9 +19,13 @@ one such draw on a replicate's stream into a validated table.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
 from .model import SIMPLEX_TOL, ObservedTable, Psi, PsiMatched, PsiMissing
@@ -56,6 +66,125 @@ class SimTruth:
         return self.l11
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator), pool of 4 words
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+# _hashmix and _mix do uint32 arithmetic on Python ints or on uint64 arrays
+# of uint32 values: a product of two 32-bit values fits 64 bits, and a
+# difference that wraps modulo 2**64 is still right modulo 2**32
+def _hashmix(value, hash_const: int, mult: int):
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> _XSHIFT, hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _uint32_words(value: int, what: str) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer (0 is [0])."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{what} {value!r} must be an integer >= 0")
+    value = int(value)
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _mix_in(pool: list, hash_const: int, words: Sequence) -> int:
+    """Mix entropy words past the pool into every pool word, in place;
+    returns the advanced hash constant."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    return hash_const
+
+
+@functools.lru_cache(maxsize=64)
+def _keyed_pool(seed_words: tuple[int, ...], key_words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and hash constant after hashing the words of the
+    master seed and of a spawn key, ready for one more spawn word."""
+    # SeedSequence pads the seed to the pool size before a spawn key
+    words = [*seed_words, *[0] * (_POOL_SIZE - len(seed_words)), *key_words]
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    hash_const = _mix_in(pool, hash_const, words[_POOL_SIZE:])
+    return tuple(pool), hash_const
+
+
+def _state_words(master_seed: int, key: tuple[int, ...], last) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=key + (last,)).generate_state(4,
+    np.uint64)``.
+
+    ``last`` is an integer, or a uint64 array of indices below 2**32 (one
+    spawn word each): the result then has one row of 4 words per index, and
+    everything before the last spawn word is hashed once.
+    """
+    pool, hash_const = _keyed_pool(
+        tuple(_uint32_words(master_seed, "master seed")),
+        tuple(w for k in key for w in _uint32_words(k, "spawn key entry")),
+    )
+    pool = list(pool)
+    tail = [last] if isinstance(last, np.ndarray) else _uint32_words(last, "spawn key entry")
+    _mix_in(pool, hash_const, tail)
+    hash_const = _INIT_B
+    out = []
+    for i in range(2 * _POOL_SIZE):
+        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        out.append(value)
+    # uint32 output words pair up little-endian into uint64
+    pairs = [out[i] | out[i + 1] << 32 for i in range(0, len(out), 2)]
+    return np.ascontiguousarray(np.array(pairs, dtype=np.uint64).T)
+
+
+class _SeedWords(ISeedSequence):
+    """Precomputed ``generate_state(4, np.uint64)`` output, handed to PCG64
+    through numpy's seeding protocol."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # PCG64 asks for exactly these words: generate_state(4, np.uint64)
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def replicate_rngs(master_seed: int, B: int) -> Iterator[np.random.Generator]:
+    """Generators of replicates 0..B-1, built one at a time as the iterator
+    is consumed; replicate b's equals ``ReplicateStream(master_seed, b).rng()``.
+
+    The master seed is checked here: an integer >= 0, else ValidationError.
+    """
+    return map(_generator, _state_words(master_seed, (), np.arange(B, dtype=np.uint64)))
+
+
 @dataclass(frozen=True)
 class ReplicateStream:
     """Independent, reproducible random stream for one replicate."""
@@ -64,14 +193,16 @@ class ReplicateStream:
     replicate_index: int
 
     def rng(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.replicate_index,))
-        return np.random.default_rng(seq)
+        return _generator(_state_words(self.master_seed, (), self.replicate_index))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
-    """Deterministic 64-bit child seed for nested Monte Carlo layers."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    """Deterministic 64-bit child seed for nested Monte Carlo layers: the
+    first output word of ``SeedSequence(master_seed, spawn_key=key)``, with
+    ``key`` nonempty."""
+    if not key:
+        raise ValidationError("derive_seed needs at least one key")
+    return int(_state_words(master_seed, key[:-1], key[-1])[0])
 
 
 def draw_observed(psi: Psi, sizes: int | tuple[int, int], stream: ReplicateStream) -> ObservedTable:

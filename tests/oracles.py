@@ -13,6 +13,10 @@ that the upper bound reaches theta. ``normal_quad`` uses adaptive
 quadrature at one theta; ``normal_panels`` uses fixed Gauss-Legendre panels
 over a whole grid (the integrand is analytic on each panel because the
 membership kink at a = theta is the upper integration limit).
+
+``numpy_stream`` is numpy's own per-replicate stream, the oracle for the
+library's seeding (``minfer.sampling.replicate_rngs``, which hashes the
+seed itself): ``default_rng(SeedSequence(seed, spawn_key=(b,)))``.
 """
 
 import math
@@ -134,3 +138,8 @@ def normal_panels(psi: PsiMissing, n: int, grid: np.ndarray) -> np.ndarray:
         survival = ndtr((mu_cond - (grid[active][:, None, None] - a)) / sd_cond)
         values[active] = (weights * density * survival).sum(axis=(1, 2))
     return np.clip(values, 0.0, 1.0)
+
+
+def numpy_stream(seed: int, b: int) -> np.random.Generator:
+    """Replicate b's generator as numpy's SeedSequence spawns it."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))

@@ -88,6 +88,20 @@ class TestExitCodes:
         assert code == 2
         assert "numeric failure" in err
 
+    def test_negative_seed_is_one(self, capsys):
+        for argv in (
+            ["curve", *TRIAL, "--method", "bootstrap", "--B", "20", "--seed", "-1"],
+            ["assure", *TRIAL, "--h", "0.1", "--B-outer", "5", "--seed", "-5"],
+            ["assure", *TRIAL, "--ml-region", "--B-outer", "5", "--seed", "-5"],
+            ["test", *TRIAL, "--theta-star", "0.3", "--method", "bootstrap",
+             "--B", "20", "--seed", "-1"],
+            ["simulate", "--setting", "missing", "--psi", "0.3,0.5,0.2", "--sizes", "50",
+             "--reps", "10", "--grid", "0:1:0.5", "--seed", "-1"],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1 and out == "", argv
+            assert err.startswith("minfer: error: master seed -"), argv
+
 
 class TestCurve:
     def test_missing_columns(self, capsys):

@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import minfer as m
 from minfer.corroborate import bounds_batch_from_rng, bounds_batch_streams
+from minfer.sampling import replicate_rngs
+from oracles import numpy_stream
 
 
 class TestStreams:
@@ -61,8 +66,10 @@ class TestDrawObserved:
 
 class TestPinnedDraws:
     """Replicate draws recorded before the per-setting draw code was merged
-    into one ``draw`` per parameter type: a change in the order or kind of
-    random calls, or in how bounds are formed from counts, shows here."""
+    into one ``draw`` per parameter type (the corroboration test and the
+    consistency check: before the replicate streams were seeded in one
+    batch): a change in the order or kind of random calls, in how streams
+    are seeded, or in how bounds are formed from counts, shows here."""
 
     MISSING = (m.PsiMissing(0.3, 0.5, 0.2), 50)
     MATCHED = (m.PsiMatched(0.4, 0.7), (30, 20))
@@ -125,6 +132,136 @@ class TestPinnedDraws:
         assert (matched.tau_hat, matched.L_bar, matched.U_bar) == (
             0.8571428571428571, 0.0, 0.26976190476190476
         )
+
+
+    def test_corroboration_test_bootstrap(self):
+        missing = m.corroboration_test(
+            m.MissingTable(32, 54, 24), 0.45, method="bootstrap", B=40, master_seed=9
+        )
+        assert (missing.observed_corroboration, missing.decision) == (0.85, "not_reject")
+        matched = m.corroboration_test(
+            m.MatchedTable(30, 100, 40, 120), 0.25, method="bootstrap", B=40, master_seed=9
+        )
+        assert (matched.observed_corroboration, matched.decision) == (0.825, "not_reject")
+
+    def test_chernoff_consistency_check(self):
+        # one stream batch per schedule entry, seeded by derive_seed's 64-bit
+        # outputs: the two-word master-seed path
+        missing = m.chernoff_consistency_check(
+            m.PsiMissing(0.3, 0.5, 0.2), 0.35, [10, 40], reps=30, master_seed=9
+        )
+        assert missing == [(10, 0.5666666666666667), (40, 0.23333333333333334)]
+        matched = m.chernoff_consistency_check(
+            m.PsiMatched(0.4, 0.7), 0.05, [10, 40], reps=30, master_seed=9
+        )
+        assert matched == [(10, 0.6666666666666666), (40, 0.6666666666666666)]
+
+
+def _same_stream(rng: np.random.Generator, oracle: np.random.Generator) -> None:
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    # a nested bootstrap keeps drawing from the outer replicate's generator
+    assert rng.binomial(50, 0.3) == oracle.binomial(50, 0.3)
+    assert rng.random(4).tolist() == oracle.random(4).tolist()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+# one word, two words, a full 64-bit word pair, entropy past SeedSequence's
+# 4-word pool, and the 64-bit child seeds nested layers use
+ORACLE_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345,
+    m.derive_seed(9, 0), m.derive_seed(2026, 3, 7),
+]
+
+
+class TestSeedingOracle:
+    """The library hashes seeds itself; numpy's SeedSequence is the oracle."""
+
+    @pytest.mark.parametrize("B", [1, 5000])
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_replicate_rngs_match_numpy(self, seed, B):
+        checked = 0
+        for b, rng in enumerate(replicate_rngs(seed, B)):
+            if b in (0, 1, B - 1):
+                _same_stream(rng, numpy_stream(seed, b))
+                checked += 1
+        assert b == B - 1 and checked == min(B, 3)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_replicate_stream_matches_numpy(self, seed):
+        for b in (0, 1, 4999, 2**32, 2**40 + 5):
+            _same_stream(m.ReplicateStream(seed, b).rng(), numpy_stream(seed, b))
+
+    @pytest.mark.parametrize("key", [(0,), (3,), (1, 2), (2**40, 5), (1, 2, 3, 4, 5)])
+    def test_derive_seed_matches_numpy(self, key):
+        for seed in ORACLE_SEEDS:
+            words = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)
+            assert m.derive_seed(seed, *key) == int(words[0])
+
+    def test_numpy_integer_seed(self):
+        for b, rng in enumerate(replicate_rngs(np.uint64(2**64 - 1), 3)):
+            _same_stream(rng, numpy_stream(2**64 - 1, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**160 - 1), b=st.integers(0, 10**4 - 1))
+    def test_any_seed_and_index(self, seed, b):
+        _same_stream(m.ReplicateStream(seed, b).rng(), numpy_stream(seed, b))
+        rng = next(itertools.islice(replicate_rngs(seed, b + 1), b, None))
+        _same_stream(rng, numpy_stream(seed, b))
+
+
+class TestMasterSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", True, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(m.ValidationError, match="master seed"):
+            replicate_rngs(seed, 5)
+        with pytest.raises(m.ValidationError, match="master seed"):
+            m.ReplicateStream(seed, 0).rng()
+        with pytest.raises(m.ValidationError, match="master seed"):
+            m.derive_seed(seed, 0)
+
+    def test_bad_keys_rejected(self):
+        with pytest.raises(m.ValidationError):
+            m.ReplicateStream(0, -1).rng()
+        with pytest.raises(m.ValidationError):
+            m.derive_seed(0, 1, -2)
+        with pytest.raises(m.ValidationError):
+            m.derive_seed(0)
+
+    def test_library_calls_raise_validation_error(self):
+        psi = m.PsiMissing(0.3, 0.5, 0.2)
+        data = m.MissingTable(32, 54, 24)
+        with pytest.raises(m.ValidationError, match="master seed"):
+            m.corroboration_bootstrap(psi, 50, B=10, master_seed=-1)
+        with pytest.raises(m.ValidationError, match="master seed"):
+            m.assurance_sweep(data, [0.1], B_outer=5, master_seed=-5)
+        with pytest.raises(m.ValidationError, match="master seed"):
+            m.assurance_of_ml_region(data, B_outer=5, master_seed=-5)
+        with pytest.raises(m.ValidationError, match="master seed"):
+            m.chernoff_consistency_check(psi, 0.35, [10], reps=5, master_seed=-1)
+
+
+class TestSeedingIsBatched:
+    def test_no_per_replicate_seed_sequence(self, monkeypatch):
+        # counts, not timings: a return to one SeedSequence or default_rng
+        # per replicate on the batched paths shows as calls here
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting(np.random.SeedSequence))
+        monkeypatch.setattr(np.random, "default_rng", counting(np.random.default_rng))
+        numpy_stream(3, 0)
+        assert calls == ["SeedSequence", "default_rng"]
+        curve = m.corroboration_bootstrap(m.PsiMissing(0.3, 0.5, 0.2), 50, B=500, master_seed=3)
+        reports = m.assurance_sweep(
+            m.MatchedTable(30, 100, 40, 120), [0.0], B_outer=20, inner_B=50, master_seed=3
+        )
+        assert curve.B == 500 and reports[0].B_outer == 20
+        assert calls == ["SeedSequence", "default_rng"]
 
 
 class TestDrawComplete:

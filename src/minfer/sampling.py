@@ -6,11 +6,13 @@ dedicated stream: the generator numpy's ``default_rng`` builds from
 are statistically independent and identical keys reproduce identical
 draws, so a result depends only on its arguments and master seed.
 
-``replicate_rngs`` is the one seeding routine. It runs SeedSequence's hash
-here, on the master seed once, and mixes the spawn word b into the pool
-for all replicates in one vectorized pass; ``ReplicateStream.rng`` and
-``derive_seed`` use the same hash for a single key. numpy's SeedSequence
-itself is the test oracle: the generators agree with it bit for bit.
+``replicate_rngs`` seeds a batch. It runs SeedSequence's hash here, on
+the master seed once, and mixes the spawn word b into the pool for all
+replicates in one vectorized pass; each replicate's generator is then
+built from its words by ``ReplicateStream.rng``, one at a time. A lone
+``ReplicateStream`` and ``derive_seed`` run the same hash for one key.
+numpy's SeedSequence itself is the test oracle: the generators agree with
+it bit for bit.
 
 The counts of a replicate table come from one routine per setting,
 ``draw`` on the parameter type (see ``model``); ``draw_observed`` wraps
@@ -19,13 +21,12 @@ one such draw on a replicate's stream into a validated table.
 
 from __future__ import annotations
 
-import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .errors import ValidationError
 from .model import SIMPLEX_TOL, ObservedTable, Psi, PsiMatched, PsiMissing
@@ -105,22 +106,23 @@ def _uint32_words(value: int, what: str) -> list[int]:
     return words
 
 
-def _mix_in(pool: list, hash_const: int, words: Sequence) -> int:
-    """Mix entropy words past the pool into every pool word, in place;
-    returns the advanced hash constant."""
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    return hash_const
+def _state_words(
+    master_seed: int, key: Sequence[int] = (), replicates: np.ndarray | None = None
+) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=key).generate_state(4, np.uint64)``.
 
-
-@functools.lru_cache(maxsize=64)
-def _keyed_pool(seed_words: tuple[int, ...], key_words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and hash constant after hashing the words of the
-    master seed and of a spawn key, ready for one more spawn word."""
-    # SeedSequence pads the seed to the pool size before a spawn key
-    words = [*seed_words, *[0] * (_POOL_SIZE - len(seed_words)), *key_words]
+    Given ``replicates``, a uint64 array of indices below 2**32, the spawn
+    key is ``key + (b,)`` for each index b instead and the result has one row
+    of 4 words per index: everything before the last spawn word is hashed
+    once, and only mixing that word in is done for all indices at once.
+    """
+    seed_words = _uint32_words(master_seed, "master seed")
+    # SeedSequence pads the seed with zeros to the pool size before a spawn
+    # key; without one it hashes zeros for the missing words, the same thing
+    words = [*seed_words, *[0] * (_POOL_SIZE - len(seed_words))]
+    words += [w for k in key for w in _uint32_words(k, "spawn key entry")]
+    if replicates is not None:
+        words.append(replicates)
     hash_const = _INIT_A
     pool = []
     for word in words[:_POOL_SIZE]:
@@ -131,25 +133,11 @@ def _keyed_pool(seed_words: tuple[int, ...], key_words: tuple[int, ...]) -> tupl
             if src != dst:
                 value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
                 pool[dst] = _mix(pool[dst], value)
-    hash_const = _mix_in(pool, hash_const, words[_POOL_SIZE:])
-    return tuple(pool), hash_const
-
-
-def _state_words(master_seed: int, key: tuple[int, ...], last) -> np.ndarray:
-    """``SeedSequence(master_seed, spawn_key=key + (last,)).generate_state(4,
-    np.uint64)``.
-
-    ``last`` is an integer, or a uint64 array of indices below 2**32 (one
-    spawn word each): the result then has one row of 4 words per index, and
-    everything before the last spawn word is hashed once.
-    """
-    pool, hash_const = _keyed_pool(
-        tuple(_uint32_words(master_seed, "master seed")),
-        tuple(w for k in key for w in _uint32_words(k, "spawn key entry")),
-    )
-    pool = list(pool)
-    tail = [last] if isinstance(last, np.ndarray) else _uint32_words(last, "spawn key entry")
-    _mix_in(pool, hash_const, tail)
+    # entropy past the pool is mixed into every pool word
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
     hash_const = _INIT_B
     out = []
     for i in range(2 * _POOL_SIZE):
@@ -160,20 +148,62 @@ def _state_words(master_seed: int, key: tuple[int, ...], last) -> np.ndarray:
     return np.ascontiguousarray(np.array(pairs, dtype=np.uint64).T)
 
 
-class _SeedWords(ISeedSequence):
-    """Precomputed ``generate_state(4, np.uint64)`` output, handed to PCG64
-    through numpy's seeding protocol."""
+class _SeedWords(ISpawnableSeedSequence):
+    """``SeedSequence(entropy, spawn_key=spawn_key)`` with its
+    ``generate_state(4, np.uint64)`` output precomputed, handed to PCG64
+    through numpy's seeding protocol. Any other request, and ``spawn``, go
+    to the SeedSequence itself, so a stream's generator spawns children as
+    numpy's own would."""
 
-    def __init__(self, words: np.ndarray) -> None:
+    def __init__(self, words: np.ndarray, entropy: int, spawn_key: tuple[int, ...]) -> None:
         self.words = words
+        self.entropy = entropy
+        self.spawn_key = spawn_key
+        self.n_children_spawned = 0
+
+    def _sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(
+            self.entropy, spawn_key=self.spawn_key, n_children_spawned=self.n_children_spawned
+        )
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # PCG64 asks for exactly these words: generate_state(4, np.uint64)
-        return self.words
+        # PCG64 asks for exactly the precomputed words
+        if n_words == _POOL_SIZE and dtype is np.uint64:
+            return self.words
+        return self._sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children: int) -> list[np.random.SeedSequence]:
+        sequence = self._sequence()
+        children = sequence.spawn(n_children)
+        self.n_children_spawned = sequence.n_children_spawned
+        return children
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+@dataclass(frozen=True)
+class ReplicateStream:
+    """Independent, reproducible random stream for one replicate: the
+    generator ``default_rng(SeedSequence(master_seed,
+    spawn_key=(replicate_index,)))``."""
+
+    master_seed: int
+    replicate_index: int
+
+    def rng(self) -> np.random.Generator:
+        words = _SeedWords(self._state(), self.master_seed, (self.replicate_index,))
+        return np.random.Generator(np.random.PCG64(words))
+
+    def _state(self) -> np.ndarray:
+        return _state_words(self.master_seed, (self.replicate_index,))
+
+
+@dataclass(frozen=True)
+class _BatchedStream(ReplicateStream):
+    """A replicate stream whose state words were hashed with its batch's."""
+
+    state: np.ndarray = field(repr=False, compare=False)
+
+    def _state(self) -> np.ndarray:
+        return self.state
 
 
 def replicate_rngs(master_seed: int, B: int) -> Iterator[np.random.Generator]:
@@ -182,27 +212,14 @@ def replicate_rngs(master_seed: int, B: int) -> Iterator[np.random.Generator]:
 
     The master seed is checked here: an integer >= 0, else ValidationError.
     """
-    return map(_generator, _state_words(master_seed, (), np.arange(B, dtype=np.uint64)))
-
-
-@dataclass(frozen=True)
-class ReplicateStream:
-    """Independent, reproducible random stream for one replicate."""
-
-    master_seed: int
-    replicate_index: int
-
-    def rng(self) -> np.random.Generator:
-        return _generator(_state_words(self.master_seed, (), self.replicate_index))
+    states = _state_words(master_seed, (), np.arange(B, dtype=np.uint64))
+    return (_BatchedStream(master_seed, b, state).rng() for b, state in enumerate(states))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
     """Deterministic 64-bit child seed for nested Monte Carlo layers: the
-    first output word of ``SeedSequence(master_seed, spawn_key=key)``, with
-    ``key`` nonempty."""
-    if not key:
-        raise ValidationError("derive_seed needs at least one key")
-    return int(_state_words(master_seed, key[:-1], key[-1])[0])
+    first output word of ``SeedSequence(master_seed, spawn_key=key)``."""
+    return int(_state_words(master_seed, key)[0])
 
 
 def draw_observed(psi: Psi, sizes: int | tuple[int, int], stream: ReplicateStream) -> ObservedTable:

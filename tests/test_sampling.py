@@ -191,11 +191,26 @@ class TestSeedingOracle:
         for b in (0, 1, 4999, 2**32, 2**40 + 5):
             _same_stream(m.ReplicateStream(seed, b).rng(), numpy_stream(seed, b))
 
-    @pytest.mark.parametrize("key", [(0,), (3,), (1, 2), (2**40, 5), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("key", [(), (0,), (3,), (1, 2), (2**40, 5), (1, 2, 3, 4, 5)])
     def test_derive_seed_matches_numpy(self, key):
         for seed in ORACLE_SEEDS:
             words = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)
             assert m.derive_seed(seed, *key) == int(words[0])
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**130 + 12345])
+    def test_streams_spawn_as_numpy_streams_do(self, seed):
+        batched = next(itertools.islice(replicate_rngs(seed, 3), 2, None))
+        for rng in (m.ReplicateStream(seed, 2).rng(), batched):
+            oracle = numpy_stream(seed, 2)
+            for _ in range(2):  # a second spawn continues the children's keys
+                for child, child_oracle in zip(rng.spawn(2), oracle.spawn(2)):
+                    _same_stream(child, child_oracle)
+            _same_stream(rng, oracle)
+            seq, oracle_seq = rng.bit_generator.seed_seq, oracle.bit_generator.seed_seq
+            assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == (
+                oracle_seq.entropy, oracle_seq.spawn_key, oracle_seq.n_children_spawned
+            )
+            assert seq.generate_state(3).tolist() == oracle_seq.generate_state(3).tolist()
 
     def test_numpy_integer_seed(self):
         for b, rng in enumerate(replicate_rngs(np.uint64(2**64 - 1), 3)):
@@ -224,8 +239,6 @@ class TestMasterSeedValidation:
             m.ReplicateStream(0, -1).rng()
         with pytest.raises(m.ValidationError):
             m.derive_seed(0, 1, -2)
-        with pytest.raises(m.ValidationError):
-            m.derive_seed(0)
 
     def test_library_calls_raise_validation_error(self):
         psi = m.PsiMissing(0.3, 0.5, 0.2)

@@ -27,9 +27,10 @@ point contributes delta_b = 0; such replicates are tallied in
 ``singleton_count`` because smooth inner curves at h = 0 produce them
 every time and the tally is the honest signal of that regime.
 
-Outer replicates run serially, each on its own stream. ``threads`` is
-accepted for compatibility and has no effect; with the closed-form inner
-curve a worker pool did not pay for itself.
+Outer replicates run serially, each on its own stream. With the normal
+inner curve, replicates that draw the same table share one curve and its
+sets. ``threads`` is accepted for compatibility and has no effect; with
+the closed-form inner curve a worker pool did not pay for itself.
 """
 
 from __future__ import annotations
@@ -142,8 +143,17 @@ def assurance_sweep(
     fallbacks = np.zeros(B_outer, dtype=bool)
     h_arr = np.asarray(hs)
 
+    # a normal inner curve depends on the replicate's counts alone, so each
+    # distinct table's sets are computed once; a bootstrap inner curve, and
+    # a DegenerateVariance fallback to one, draws from the replicate's stream
+    normal_sets: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     for b, rng in enumerate(replicate_rngs(master_seed, B_outer)):
-        psi_b = psi_hat.from_cells(psi_hat.draw(rng, sizes), sizes)
+        cells = psi_hat.draw(rng, sizes)
+        key = tuple(int(c) for c in cells)
+        if key in normal_sets:
+            lower[:, b], upper[:, b] = normal_sets[key]
+            continue
+        psi_b = psi_hat.from_cells(cells, sizes)
         tie = NORMAL_TIE_EPS
         values = None
         if inner_method == "normal":
@@ -160,6 +170,8 @@ def assurance_sweep(
             idx = np.nonzero(values >= thresholds[i])[0]
             lower[i, b] = grid[idx[0]]
             upper[i, b] = grid[idx[-1]]
+        if inner_method == "normal" and not fallbacks[b]:
+            normal_sets[key] = (lower[:, b].copy(), upper[:, b].copy())
 
     return [
         _report(

@@ -19,9 +19,10 @@ Two estimators are provided:
 * ``corroboration_normal`` and ``corroboration_normal_curve`` (missing-data
   setting only) replace the joint law of the two estimated bounds with a
   bivariate normal with matching moments. The coverage P(L <= theta <= U)
-  is then Phi(h) - Phi2(h, k; rho) in closed form: the bivariate normal CDF
-  is exact in Owen's T function (Owen 1956, Ann. Math. Statist. 27:1075;
-  Genz 2004, Stat. Comput. 14:251), vectorized over the grid.
+  is then Phi(h) - Phi2(h, k; rho), vectorized over the grid in numpy
+  (``_normal``): Phi as Cephes' ndtr, and Phi2 by Genz's BVND algorithm
+  (Genz 2004, Stat. Comput. 14:251), Gauss-Legendre quadrature accurate to
+  double precision. No Owen's T function and no scipy is involved.
 
 Level sets of a curve are reported as the convex hull of qualifying grid
 points: the population level sets are intervals, so raggedness from a
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
+from ._normal import _bvn_cover, _ndtr_pair
 from .errors import DegenerateVariance, EmptyLevelSet, ValidationError
 from .identify import ThetaInterval, theta_interval
 from .model import Psi, PsiMissing
@@ -208,14 +209,6 @@ def corroboration_bootstrap(
     )
 
 
-def _owen_t(x: np.ndarray, num: np.ndarray, scale: float) -> np.ndarray:
-    """Owen's T(x, num / (x * scale)); at x = 0 the second argument is
-    infinite with the sign of ``num``, so T(0, +-inf) = +-1/4."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(x == 0.0, np.copysign(np.inf, num), num / (x * scale))
-    return owens_t(x, a)
-
-
 def _normal_values(psi: PsiMissing, n: int, theta: np.ndarray) -> np.ndarray:
     """Normal-approximation coverage P(L <= theta <= U) at each theta, with
     h and k the standardized distances of theta from the means of L and U."""
@@ -235,23 +228,15 @@ def _normal_values(psi: PsiMissing, n: int, theta: np.ndarray) -> np.ndarray:
     h = (theta - psi.l11) / sd_a
     if cond_var <= 0.0:
         # width degenerates to 1 - lower: coverage reduces to Pr(lower <= theta)
-        return ndtr(h)
+        return _ndtr_pair(h)[0]
     # U = lower + width moves with the lower bound by ``gain`` plus an
-    # independent residual of variance cond_var
+    # independent residual of variance cond_var: corr(L, U) = rho, and
+    # sqrt(1 - rho^2) = sqrt(cond_var) / sd_u
     gain = 1.0 + cov / var_a
     sd_u = math.sqrt(gain * gain * var_a + cond_var)
-    rho = gain * sd_a / sd_u
-    sqrt_one_minus_rho2 = math.sqrt(cond_var) / sd_u
     k = (theta - psi.l11 - psi.l_plus0) / sd_u
-    # Owen's identity: Phi2(h, k; rho) = (Phi(h) + Phi(k)) / 2
-    #   - T(h, (k - rho h) / (h s)) - T(k, (h - rho k) / (k s)) - beta,
-    # s = sqrt(1 - rho^2), beta = 1/2 when h and k straddle zero
-    beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
-    phi2 = (0.5 * (ndtr(h) + ndtr(k))
-            - _owen_t(h, k - rho * h, sqrt_one_minus_rho2)
-            - _owen_t(k, h - rho * k, sqrt_one_minus_rho2)
-            - beta)
-    return np.clip(ndtr(h) - phi2, 0.0, 1.0)
+    coverage = _bvn_cover(h, k, gain * sd_a / sd_u, math.sqrt(cond_var) / sd_u)
+    return np.clip(coverage, 0.0, 1.0)
 
 
 def corroboration_normal(psi: PsiMissing, n: int, theta: float) -> float:

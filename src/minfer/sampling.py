@@ -9,10 +9,11 @@ draws, so a result depends only on its arguments and master seed.
 ``replicate_rngs`` seeds a batch. It runs SeedSequence's hash here, on
 the master seed once, and mixes the spawn word b into the pool for all
 replicates in one vectorized pass; each replicate's generator is then
-built from its words by ``ReplicateStream.rng``, one at a time. A lone
-``ReplicateStream`` and ``derive_seed`` run the same hash for one key.
-numpy's SeedSequence itself is the test oracle: the generators agree with
-it bit for bit.
+built from its words by ``ReplicateStream.rng``, one at a time, and
+agrees with numpy's SeedSequence, the test oracle, bit for bit.
+``derive_seed`` runs the same hash for one key. A lone ``ReplicateStream``
+is seeded by numpy's SeedSequence itself, which is cheaper for one key
+than the hash in Python.
 
 The counts of a replicate table come from one routine per setting,
 ``draw`` on the parameter type (see ``model``); ``draw_observed`` wraps
@@ -94,11 +95,16 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-def _uint32_words(value: int, what: str) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer (0 is [0])."""
+def _nonnegative_int(value, what: str) -> int:
+    """``value`` as a Python int, if it is an integer >= 0 (bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ValidationError(f"{what} {value!r} must be an integer >= 0")
-    value = int(value)
+    return int(value)
+
+
+def _uint32_words(value: int, what: str) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer (0 is [0])."""
+    value = _nonnegative_int(value, what)
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -189,11 +195,14 @@ class ReplicateStream:
     replicate_index: int
 
     def rng(self) -> np.random.Generator:
-        words = _SeedWords(self._state(), self.master_seed, (self.replicate_index,))
-        return np.random.Generator(np.random.PCG64(words))
+        return np.random.Generator(np.random.PCG64(self._seed_sequence()))
 
-    def _state(self) -> np.ndarray:
-        return _state_words(self.master_seed, (self.replicate_index,))
+    def _seed_sequence(self) -> ISpawnableSeedSequence:
+        # a lone stream is numpy's own; the checks make a bad seed or index
+        # a ValidationError, as on the batched path
+        seed = _nonnegative_int(self.master_seed, "master seed")
+        key = (_nonnegative_int(self.replicate_index, "spawn key entry"),)
+        return np.random.SeedSequence(seed, spawn_key=key)
 
 
 @dataclass(frozen=True)
@@ -202,8 +211,8 @@ class _BatchedStream(ReplicateStream):
 
     state: np.ndarray = field(repr=False, compare=False)
 
-    def _state(self) -> np.ndarray:
-        return self.state
+    def _seed_sequence(self) -> ISpawnableSeedSequence:
+        return _SeedWords(self.state, self.master_seed, (self.replicate_index,))
 
 
 def replicate_rngs(master_seed: int, B: int) -> Iterator[np.random.Generator]:

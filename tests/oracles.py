@@ -7,12 +7,18 @@ form's three regimes.
 
 ``normal_quad`` and ``normal_panels`` integrate the normal-approximation
 coverage behind ``minfer.corroboration_normal`` numerically, independently
-of its closed form in Owen's T function: the integral over lower-bound
-values a <= theta of the normal density times the conditional probability
-that the upper bound reaches theta. ``normal_quad`` uses adaptive
+of any closed form: the integral over lower-bound values a <= theta of
+the normal density times the conditional probability that the upper
+bound reaches theta. ``normal_quad`` uses adaptive
 quadrature at one theta; ``normal_panels`` uses fixed Gauss-Legendre panels
 over a whole grid (the integrand is analytic on each panel because the
 membership kink at a = theta is the upper integration limit).
+
+``normal_owen`` is the same coverage in closed form through Owen's T
+function and scipy's ``ndtr`` (Owen 1956, Ann. Math. Statist. 27:1075),
+the form the library used before its numpy kernel; it checks the
+kernel's Phi and Genz quadrature to ~1e-15 wherever rho stays away
+from 1.
 
 ``numpy_stream`` is numpy's own per-replicate stream, the oracle for the
 library's seeding (``minfer.sampling.replicate_rngs``, which hashes the
@@ -23,7 +29,7 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from minfer import MissingTable, PsiMissing
 
@@ -138,6 +144,42 @@ def normal_panels(psi: PsiMissing, n: int, grid: np.ndarray) -> np.ndarray:
         survival = ndtr((mu_cond - (grid[active][:, None, None] - a)) / sd_cond)
         values[active] = (weights * density * survival).sum(axis=(1, 2))
     return np.clip(values, 0.0, 1.0)
+
+
+def _owen_t(x: np.ndarray, num: np.ndarray, scale: float) -> np.ndarray:
+    # Owen's T(x, num / (x * scale)); at x = 0 the second argument is
+    # infinite with the sign of ``num``, so T(0, +-inf) = +-1/4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(x == 0.0, np.copysign(np.inf, num), num / (x * scale))
+    return owens_t(x, a)
+
+
+def normal_owen(psi: PsiMissing, n: int, theta: np.ndarray) -> np.ndarray:
+    """Normal-approximation coverage over theta by Owen's identity for the
+    bivariate normal CDF, with the library's moments and zero-width branch."""
+    theta = np.asarray(theta, dtype=float)
+    var_a = psi.l11 * (1.0 - psi.l11) / n
+    var_b = psi.l_plus0 * (1.0 - psi.l_plus0) / n
+    cov = -psi.l11 * psi.l_plus0 / n
+    cond_var = max(var_b - cov * cov / var_a, 0.0)
+    sd_a = math.sqrt(var_a)
+    h = (theta - psi.l11) / sd_a
+    if cond_var <= 0.0:
+        return ndtr(h)
+    gain = 1.0 + cov / var_a
+    sd_u = math.sqrt(gain * gain * var_a + cond_var)
+    rho = gain * sd_a / sd_u
+    sqrt_one_minus_rho2 = math.sqrt(cond_var) / sd_u
+    k = (theta - psi.l11 - psi.l_plus0) / sd_u
+    # Phi2(h, k; rho) = (Phi(h) + Phi(k)) / 2 - T(h, (k - rho h) / (h s))
+    #   - T(k, (h - rho k) / (k s)) - beta, s = sqrt(1 - rho^2), beta = 1/2
+    #   when h and k straddle zero
+    beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    phi2 = (0.5 * (ndtr(h) + ndtr(k))
+            - _owen_t(h, k - rho * h, sqrt_one_minus_rho2)
+            - _owen_t(k, h - rho * k, sqrt_one_minus_rho2)
+            - beta)
+    return np.clip(ndtr(h) - phi2, 0.0, 1.0)
 
 
 def numpy_stream(seed: int, b: int) -> np.random.Generator:

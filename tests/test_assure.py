@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import minfer as m
+from minfer import assure
+from minfer.corroborate import bounds_batch_from_rng, coverage_share
+from minfer.sampling import replicate_rngs
 
 COARSE_GRID = np.linspace(0.0, 1.0, 201)
 
@@ -94,6 +97,57 @@ class TestSweep:
         threaded = m.assurance_sweep(trial, [0.01, 0.3], threads=4, **kwargs)
         for a, b in zip(serial, threaded):
             assert a == b
+
+
+def _unshared_sweep(data, hs, B_outer, inner_B, master_seed):
+    """(tau_hat, L_bar, U_bar) per h, the fallback count and the number of
+    distinct tables with a normal curve, every outer replicate on its own
+    inner curve: the sweep without sharing between replicates that draw
+    the same table."""
+    psi_hat, n, grid = m.mle_psi(data), data.n, m.default_grid()
+    region = m.ml_region(data)
+    sets, fallbacks, normal_tables = [], 0, set()
+    for rng in replicate_rngs(master_seed, B_outer):
+        cells = psi_hat.draw(rng, n)
+        psi_b = psi_hat.from_cells(cells, n)
+        try:
+            curve = m.corroboration_normal_curve(psi_b, n, grid)
+            normal_tables.add(tuple(cells))
+        except m.DegenerateVariance:
+            fallbacks += 1
+            lo, up = bounds_batch_from_rng(psi_b, n, inner_B, rng)
+            curve = m.CorroborationCurve(grid, coverage_share(lo, up, grid), "bootstrap",
+                                         psi_b, n, B=inner_B)
+        sets.append([m.max_corroboration_set(curve, h).interval for h in hs])
+    rows = []
+    for i in range(len(hs)):
+        lo = np.array([row[i].lower for row in sets])
+        up = np.array([row[i].upper for row in sets])
+        hits = (region.lower <= lo) & (lo < up) & (up <= region.upper)
+        rows.append((np.count_nonzero(hits) / B_outer, np.sum(lo) / B_outer, np.sum(up) / B_outer))
+    return rows, fallbacks, len(normal_tables)
+
+
+class TestNormalCurveSharing:
+    @pytest.mark.parametrize("cells", [(32, 54, 24), (3, 40, 1)])
+    def test_same_reports_as_unshared_curves(self, cells, monkeypatch):
+        # (3, 40, 1): ~40% of replicates have a zero cell and fall back to a
+        # bootstrap on their own stream, which no other replicate may reuse
+        data = m.MissingTable(*cells)
+        hs = [0.0, 0.01, 0.3]
+        expected, fallbacks, distinct = _unshared_sweep(data, hs, 300, 50, 4)
+        calls = []
+
+        def counting(psi, n, grid):
+            calls.append(psi)
+            return m.corroboration_normal_curve(psi, n, grid)
+
+        monkeypatch.setattr(assure, "corroboration_normal_curve", counting)
+        reports = m.assurance_sweep(data, hs, B_outer=300, inner_B=50, master_seed=4)
+        assert [(r.tau_hat, r.L_bar, r.U_bar) for r in reports] == expected
+        assert reports[0].fallback_count == fallbacks
+        # one curve per distinct table; a degenerate table is tried each time
+        assert len(calls) == distinct + fallbacks < 300
 
 
 class TestMlRegionAssurance:

@@ -406,12 +406,21 @@ class TestConsoleScript:
         assert json.loads(proc.stdout)["n"] == 110
 
     def test_import_skips_numerical_integration(self):
-        # the normal curve is closed-form: importing the CLI loads no quadrature
-        code = ("import sys, minfer.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+        # numpy is the only runtime dependency: importing the CLI, a normal
+        # curve and an assurance sweep load no scipy module, in a fresh process
+        runs = [["curve", *TRIAL, "--method", "normal"],
+                ["assure", *TRIAL, "--h", "0,0.01", "--B-outer", "20"]]
+        code = ("import json, sys, minfer.cli as cli\n"
+                "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                "loaded = [scipy()]\n"
+                f"for argv in {runs!r}:\n"
+                "    assert cli.main(argv) == 0\n"
+                "    loaded.append(scipy())\n"
+                "print(json.dumps(loaded), file=sys.stderr)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.startswith("theta,corroboration,") and "\nh,tau," in proc.stdout
+        assert json.loads(proc.stderr.splitlines()[-1]) == [[], [], []]
 
     def test_entry_point_error_path(self):
         proc = subprocess.run(

@@ -1,12 +1,18 @@
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import minfer as m
+from minfer import _normal
 from minfer.corroborate import bounds_batch_streams
 from minfer.sampling import ReplicateStream
-from oracles import normal_panels, normal_quad
+from oracles import normal_owen, normal_panels, normal_quad
 
 TRIAL_N = 110
 
@@ -128,8 +134,6 @@ class TestNormal:
         # l01 = 0 collapses the width onto 1 - lower; curve stays valid
         psi = m.PsiMissing(0.4, 0.0, 0.6)
         value = m.corroboration_normal(psi, 50, 0.5)
-        from scipy.special import ndtr
-
         expected = ndtr((0.5 - 0.4) / np.sqrt(0.4 * 0.6 / 50))
         assert value == pytest.approx(float(expected), abs=1e-9)
         curve = m.corroboration_normal_curve(psi, 50, np.linspace(0, 1, 11))
@@ -138,6 +142,104 @@ class TestNormal:
     def test_matched_psi_rejected(self):
         with pytest.raises(m.ValidationError):
             m.corroboration_normal(m.PsiMatched(0.3, 0.3), 100, 0.2)
+
+
+def _rho(cells) -> float:
+    # correlation of the two plug-in bounds under the normal approximation,
+    # sqrt(l01 l11 / (l01 l11 + l_plus0)), free of n
+    c11, c01, c0 = cells
+    return math.sqrt(c01 * c11 / (c01 * c11 + c0 * sum(cells)))
+
+
+# cell fractions per Genz band of rho: [0, 0.3), [0.3, 0.75), [0.75, 0.925),
+# [0.925, 1); tables round them at n from 3 to 1.5e6
+BAND_FRACTIONS = {
+    (0.0, 0.3): (0.2, 0.1, 0.7),
+    (0.3, 0.75): (0.3, 0.5, 0.2),
+    (0.75, 0.925): (0.5, 0.4, 0.1),
+    (0.925, 1.0): (0.5, 0.48, 0.02),
+}
+BAND_SIZES = (3, 4, 5, 7, 10, 20, 50, 110, 1000, 10**4, 10**5, 10**6, 1_500_000)
+
+
+def _band_tables(fractions, lo, hi):
+    tables = []
+    for n in BAND_SIZES:
+        c11 = max(1, round(fractions[0] * n))
+        c0 = max(1, round(fractions[2] * n))
+        cells = (c11, n - c11 - c0, c0)
+        if cells[1] > 0 and lo <= _rho(cells) < hi:
+            tables.append(cells)
+    return tables
+
+
+class TestNormalKernel:
+    """The numpy Phi and Genz bivariate-normal kernel against scipy."""
+
+    def test_phi_matches_scipy_ndtr(self):
+        # both branch edges of Cephes' erf/erfc, the far tail past MAXLOG
+        edges = np.sqrt(2.0) * np.array([0.5 ** 0.5, 1.0, 8.0, 709.78 ** 0.5])
+        x = np.concatenate([np.linspace(-40.0, 40.0, 800_001), edges, -edges,
+                            np.nextafter(edges, 0.0), np.nextafter(-edges, 0.0)])
+        phi, phi_neg = _normal._ndtr_pair(x)
+        assert np.max(np.abs(phi - ndtr(x))) <= 4.5e-16
+        assert np.max(np.abs(phi_neg - ndtr(-x))) <= 4.5e-16
+        # Phi(-x) keeps its precision in the upper tail, where 1 - Phi(x) is 0
+        assert _normal._ndtr_pair(np.array([30.0]))[1][0] == ndtr(-30.0) > 0.0
+
+    def test_gauss_legendre_rules(self):
+        # nodes as numpy computes them; the weights integrate every power
+        # below 2N exactly (numpy's own weights are off by up to 1.2e-15,
+        # Genz's printed 6-point weights sum to 2 - 1.3e-15)
+        for (nodes, weights), points in zip(_normal._RULES, (6, 12, 20)):
+            nodes = nodes[:, 0]
+            ref_nodes, _ = np.polynomial.legendre.leggauss(points)
+            assert np.max(np.abs(np.sort(nodes) - ref_nodes)) <= 1e-15
+            for j in range(2 * points):
+                exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+                assert abs(np.sum(weights * nodes**j) - exact) <= 1e-15
+
+    @pytest.mark.parametrize("band", list(BAND_FRACTIONS))
+    def test_coverage_matches_owen_oracle(self, band):
+        tables = _band_tables(BAND_FRACTIONS[band], *band)
+        sizes = [sum(cells) for cells in tables]
+        assert len(tables) >= 7 and min(sizes) <= 50 and max(sizes) == 1_500_000
+        for cells in tables:
+            n = sum(cells)
+            psi = m.PsiMissing(*(c / n for c in cells))
+            grid = np.union1d(m.default_grid(), [psi.l11, psi.l11 + psi.l_plus0])
+            with warnings.catch_warnings():
+                # h reaches ~1e3 at n = 1.5e6: exp underflows, nothing may
+                # overflow or divide by zero
+                warnings.simplefilter("error")
+                values = m.corroboration_normal_curve(psi, n, grid).values
+            assert np.max(np.abs(values - normal_owen(psi, n, grid))) <= 1e-15, cells
+
+    def test_zero_width_tables_match_oracle(self):
+        for cells in ((1, 0, 1), (1, 0, 4), (1425, 0, 1935), (400_000, 0, 1_100_000)):
+            n = sum(cells)
+            psi = m.PsiMissing(*(c / n for c in cells))
+            values = m.corroboration_normal_curve(psi, n).values
+            assert np.max(np.abs(values - normal_owen(psi, n, m.default_grid()))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "cells,theta,reference",
+        [
+            # a single n_plus0: rho = 0.96 at n = 50 and within 1e-5 of 1 at
+            # n >= 2e5, where the Owen's-T form is off by up to 3e-15;
+            # references by 40-digit quadrature
+            ((197604, 96430, 1), 0.673, 0.0009224118144047076804),
+            ((260349, 281264, 1), 0.48, 0.00069913834691577667949),
+            ((260349, 281264, 1), 0.481, 0.0010604213628761320148),
+            ((14277, 196598, 1), 0.067, 0.0016243715636982913617),
+            ((25, 24, 1), 0.5, 0.12052767860126066805),
+        ],
+    )
+    def test_near_unit_correlation(self, cells, theta, reference):
+        n = sum(cells)
+        psi = m.PsiMissing(*(c / n for c in cells))
+        assert _rho(cells) >= 0.925
+        assert abs(m.corroboration_normal(psi, n, theta) - reference) <= 5e-16
 
 
 class TestMethodAgreement:
@@ -255,6 +357,93 @@ class TestLevelSets:
             m.level_set(curve, 0.0)
         with pytest.raises(m.ValidationError):
             m.max_corroboration_set(curve, -0.1)
+
+
+@st.composite
+def missing_tables(draw, degenerate_variance=True):
+    """Missing-data cells (c11, c01, c_plus0) with n from 1 to 1.5e6; without
+    ``degenerate_variance``, 0 < c11 < n and 0 < c_plus0 < n."""
+    low = 0 if degenerate_variance else 1
+    n = draw(st.integers(1 if degenerate_variance else 2, 1_500_000))
+    c11 = draw(st.integers(low, n - low))
+    c0 = draw(st.integers(low, n - c11))
+    return c11, n - c11 - c0, c0
+
+
+matched_tables = st.tuples(st.integers(1, 300), st.integers(1, 300)).flatmap(
+    lambda sizes: st.tuples(st.integers(0, sizes[0]), st.integers(0, sizes[1]), st.just(sizes))
+)
+
+
+def _curves(cells, B, seed):
+    """The normal curve where it is defined, and the bootstrap curve, at the
+    MLE of missing-data cells or of matched (nx, ny, (n1, n2))."""
+    matched = isinstance(cells[2], tuple)
+    if matched:
+        nx, ny, sizes = cells
+        psi, curves = m.PsiMatched(nx / sizes[0], ny / sizes[1]), []
+    else:
+        n = sum(cells)
+        psi, sizes = m.PsiMissing(*(c / n for c in cells)), n
+        try:
+            curves = [m.corroboration_normal_curve(psi, n)]
+        except m.DegenerateVariance:
+            curves = []
+    try:
+        return [*curves, m.corroboration_bootstrap(psi, sizes, B=B, master_seed=seed)]
+    except m.ValidationError:
+        # the known matched fault: float Frechet bounds of a replicate invert
+        # by one ulp, and a grid point between them counts -1 (e.g. psi =
+        # (95/300, 1), sizes (300, 1), B = 3, seed 0); nothing else may raise
+        lower, upper = bounds_batch_streams(psi, sizes, B, seed)
+        assert matched and np.any(lower > upper)
+        return curves
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.one_of(missing_tables(), matched_tables),
+        alphas=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=5),
+        B=st.integers(1, 200),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_level_sets_nested_in_alpha(self, cells, alphas, B, seed):
+        for curve in _curves(cells, B, seed):
+            sets = []
+            for alpha in sorted(alphas):
+                try:
+                    sets.append(m.level_set(curve, alpha).interval)
+                except m.EmptyLevelSet:
+                    assert curve.values.max() < alpha
+            for wide, narrow in zip(sets, sets[1:]):
+                assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.one_of(missing_tables(), matched_tables),
+        B=st.integers(1, 500),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_bootstrap_values_on_lattice(self, cells, B, seed):
+        # each value is the float k / B of an integer count k of replicates
+        for curve in _curves(cells, B, seed):
+            if curve.method == "bootstrap":
+                assert np.array_equal(curve.values, np.round(curve.values * B) / B)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=missing_tables(degenerate_variance=False))
+    def test_normal_coverage_within_lower_bound_law(self, cells):
+        # P(L <= theta <= U) <= P(L <= theta) = Phi(h)
+        n = sum(cells)
+        psi = m.PsiMissing(*(c / n for c in cells))
+        grid = m.default_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = m.corroboration_normal_curve(psi, n, grid).values
+        h = (grid - psi.l11) / math.sqrt(psi.l11 * (1.0 - psi.l11) / n)
+        assert np.all(values >= 0.0)
+        assert np.all(values <= ndtr(h) + 1e-15)
 
 
 class TestQuasiConcavity:

@@ -27,17 +27,23 @@ point contributes delta_b = 0; such replicates are tallied in
 ``singleton_count`` because smooth inner curves at h = 0 produce them
 every time and the tally is the honest signal of that regime.
 
-Outer replicates run serially, each on its own stream. With the normal
-inner curve, replicates that draw the same table share one curve and its
-sets. ``threads`` is accepted for compatibility and has no effect; with
-the closed-form inner curve a worker pool did not pay for itself.
+Each outer replicate draws only from its own stream, so the report does
+not depend on how replicates are scheduled. With a nested-bootstrap inner
+curve (matched data, or ``inner_method="bootstrap"``) the replicates are
+split into contiguous blocks, one per worker thread: min(``threads``,
+B_outer, usable CPUs) of them. Their inner draws run in numpy code that
+releases the GIL, so the blocks run in parallel. The normal inner curve
+is many small numpy calls that hold the GIL, so there threads would only
+add contention, and its replicates run in one block, where replicates
+that draw the same table share one curve and its sets.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import asdict, dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -104,6 +110,46 @@ def _report(region: ThetaInterval, lo: np.ndarray, up: np.ndarray, **fields) -> 
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(B_outer: int, threads: int) -> list[range]:
+    """Replicate indices 0..B_outer-1 in contiguous blocks, one per worker:
+    min(threads, B_outer, usable CPUs) of them, sizes differing by at most 1."""
+    workers = min(int(threads), B_outer, _usable_cpus())
+    edges = [B_outer * w // workers for w in range(workers + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _run_blocks(run_block: Callable[[range], None], blocks: list[range]) -> None:
+    """``run_block`` on each block, one thread per block when there are
+    several. A worker's exception is re-raised here; each block stops at
+    its first, so the lowest failing block's is the one a serial run raises."""
+    if len(blocks) == 1:
+        run_block(blocks[0])
+        return
+    errors: list[BaseException | None] = [None] * len(blocks)
+
+    def work(i: int) -> None:
+        try:
+            run_block(blocks[i])
+        except BaseException as exc:
+            errors[i] = exc
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(blocks))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def assurance_sweep(
     data: ObservedTable,
     h_list: Sequence[float],
@@ -115,7 +161,9 @@ def assurance_sweep(
     threads: int = 1,
 ) -> list[AssuranceReport]:
     """Assurance reports for several offsets h from one shared outer
-    bootstrap (common random numbers across the h values)."""
+    bootstrap (common random numbers across the h values). ``threads``
+    caps the worker threads of a nested-bootstrap inner curve (see module
+    docs); the reports do not depend on it."""
     hs = [float(h) for h in h_list]
     if not hs:
         raise ValidationError("h_list must be nonempty")
@@ -124,6 +172,8 @@ def assurance_sweep(
             raise ValidationError(f"offset h = {h} must lie in [0, 1)")
     if B_outer < 1:
         raise ValidationError(f"B_outer = {B_outer} must be at least 1")
+    if threads < 1:
+        raise ValidationError(f"thread count {threads} must be at least 1")
     psi_hat = mle_psi(data)
     inner_method = corroboration_method(psi_hat, inner_method)
     if inner_B < 1:
@@ -143,35 +193,40 @@ def assurance_sweep(
     fallbacks = np.zeros(B_outer, dtype=bool)
     h_arr = np.asarray(hs)
 
-    # a normal inner curve depends on the replicate's counts alone, so each
-    # distinct table's sets are computed once; a bootstrap inner curve, and
-    # a DegenerateVariance fallback to one, draws from the replicate's stream
-    normal_sets: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    for b, rng in enumerate(replicate_rngs(master_seed, B_outer)):
-        cells = psi_hat.draw(rng, sizes)
-        key = tuple(int(c) for c in cells)
-        if key in normal_sets:
-            lower[:, b], upper[:, b] = normal_sets[key]
-            continue
-        psi_b = psi_hat.from_cells(cells, sizes)
-        tie = NORMAL_TIE_EPS
-        values = None
-        if inner_method == "normal":
-            try:
-                values = corroboration_normal_curve(psi_b, sizes, grid).values
-            except DegenerateVariance:
-                fallbacks[b] = True
-        if values is None:
-            lo_b, up_b = bounds_batch_from_rng(psi_b, sizes, inner_B, rng)
-            values = coverage_share(lo_b, up_b, grid)
-            tie = 0.5 / inner_B
-        thresholds = values.max() - h_arr - tie
-        for i in range(n_h):
-            idx = np.nonzero(values >= thresholds[i])[0]
-            lower[i, b] = grid[idx[0]]
-            upper[i, b] = grid[idx[-1]]
-        if inner_method == "normal" and not fallbacks[b]:
-            normal_sets[key] = (lower[:, b].copy(), upper[:, b].copy())
+    def run_block(block: range) -> None:
+        # a normal inner curve depends on the replicate's counts alone, so each
+        # distinct table's sets are computed once; a bootstrap inner curve, and
+        # a DegenerateVariance fallback to one, draws from the replicate's stream
+        normal_sets: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        for b, rng in zip(block, replicate_rngs(master_seed, len(block), block.start)):
+            cells = psi_hat.draw(rng, sizes)
+            key = tuple(int(c) for c in cells)
+            if key in normal_sets:
+                lower[:, b], upper[:, b] = normal_sets[key]
+                continue
+            psi_b = psi_hat.from_cells(cells, sizes)
+            tie = NORMAL_TIE_EPS
+            values = None
+            if inner_method == "normal":
+                try:
+                    values = corroboration_normal_curve(psi_b, sizes, grid).values
+                except DegenerateVariance:
+                    fallbacks[b] = True
+            if values is None:
+                lo_b, up_b = bounds_batch_from_rng(psi_b, sizes, inner_B, rng)
+                values = coverage_share(lo_b, up_b, grid)
+                tie = 0.5 / inner_B
+            thresholds = values.max() - h_arr - tie
+            for i in range(n_h):
+                idx = np.nonzero(values >= thresholds[i])[0]
+                lower[i, b] = grid[idx[0]]
+                upper[i, b] = grid[idx[-1]]
+            if inner_method == "normal" and not fallbacks[b]:
+                normal_sets[key] = (lower[:, b].copy(), upper[:, b].copy())
+
+    # nested-bootstrap draws release the GIL; the normal curve's small numpy
+    # calls hold it, so that path stays one block
+    _run_blocks(run_block, _blocks(B_outer, threads if inner_method == "bootstrap" else 1))
 
     return [
         _report(

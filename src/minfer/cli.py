@@ -126,16 +126,19 @@ def _config_tokens(args: argparse.Namespace, config: dict) -> list[str]:
     return tokens
 
 
-def _check_threads(value: int | None) -> None:
-    # the thread count has no effect, but a bad value is still an input error
+def _check_threads(value: int | None) -> int:
+    # the flag (a --config value arrives as one), then the environment, else 1
     env = os.environ.get(THREADS_ENV)
     if value is None and env is not None:
         try:
             value = int(env)
         except ValueError as exc:
             raise ValidationError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-    if value is not None and value < 1:
+    if value is None:
+        return 1
+    if value < 1:
         raise ValidationError(f"thread count {value} must be at least 1")
+    return value
 
 
 def _table_from_args(args: argparse.Namespace) -> ObservedTable:
@@ -226,7 +229,7 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
 
 def _cmd_assure(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
-    _check_threads(args.threads)
+    threads = _check_threads(args.threads)
     if args.ml_region:
         report = assure_mod.assurance_of_ml_region(
             data, B_outer=args.B_outer, master_seed=args.seed
@@ -242,6 +245,7 @@ def _cmd_assure(args: argparse.Namespace) -> int:
         inner_B=args.inner_B,
         master_seed=args.seed,
         grid=grid,
+        threads=threads,
     )
     if args.tau_min is not None:
         chosen, report = assure_mod.select_h(data, float(args.tau_min), args.h, **kwargs)
@@ -263,14 +267,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
     if args.theta_star is None:
         raise ValidationError("test needs --theta-star (one value or a comma list)")
-    results = []
-    for theta in args.theta_star:
-        # one master seed for all theta values: the bootstrap replicates are
-        # shared, as on a grid
-        result = ctest.corroboration_test(
-            data, float(theta), method=args.method, B=args.B, master_seed=args.seed,
-        )
-        results.append(_rounded(result.to_dict()))
+    # one set of bootstrap replicates serves every theta value, as on a grid
+    results = [_rounded(result.to_dict()) for result in ctest.corroboration_tests(
+        data, args.theta_star, method=args.method, B=args.B, master_seed=args.seed,
+    )]
     _emit(results[0] if len(results) == 1 else results, args.out)
     return 0
 
@@ -308,7 +308,8 @@ def _add_common(parser: argparse.ArgumentParser, *, counts: bool = True) -> None
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"accepted for compatibility, no effect (env {THREADS_ENV})")
+                        help="worker threads for nested-bootstrap assure replicates; "
+                        f"output does not depend on it (env {THREADS_ENV}, default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -56,6 +56,68 @@ class TestResult:
         return asdict(self)
 
 
+def _observed_corroboration(
+    psi_hat: Psi, sizes, thetas: Sequence[float], method: str, B: int, master_seed: int
+) -> list[float]:
+    """Observed corroboration of each theta: the normal approximation one
+    theta at a time, or one set of B bootstrap replicates for all of them."""
+    if method == "normal":
+        return [corroboration_normal(psi_hat, sizes, theta) for theta in thetas]
+    # the curve needs an increasing grid; thetas may come in any order
+    grid, where = np.unique(np.asarray(thetas, dtype=float), return_inverse=True)
+    curve = corroboration_bootstrap(psi_hat, sizes, grid, B=B, master_seed=master_seed)
+    return [float(v) for v in curve.values[where]]
+
+
+def corroboration_tests(
+    data: ObservedTable,
+    theta_stars: Sequence[float],
+    method: str | None = None,
+    B: int = 5000,
+    master_seed: int = 0,
+) -> list[TestResult]:
+    """``corroboration_test`` of each theta_star; every bootstrap estimate
+    comes from one shared set of B replicates (common random numbers)."""
+    for theta_star in theta_stars:
+        if not 0.0 <= theta_star <= 1.0:
+            raise ThetaOutOfDomain(f"theta_star = {theta_star} is not in [0, 1]")
+    if not theta_stars:
+        return []
+    psi_hat = mle_psi(data)
+    method = corroboration_method(psi_hat, method)
+    region = ml_region(data)
+    corroborations = _observed_corroboration(psi_hat, data.sizes, theta_stars, method, B, master_seed)
+
+    results = []
+    for theta_star, corroboration in zip(theta_stars, corroborations):
+        if region.strictly_inside(theta_star):
+            T: Union[int, str] = 1
+            decision = "not_reject"
+        elif not region.contains(theta_star):
+            T = 0
+            decision = "reject_HA"
+        else:
+            T = "boundary"
+            decision = "indeterminate"
+        power = 1.0 - corroboration
+
+        if T == 1:
+            quadrant = QUADRANT_HA if power <= POWER_SPLIT else QUADRANT_NEITHER
+        elif T == 0:
+            quadrant = QUADRANT_HB if power > POWER_SPLIT else QUADRANT_NEITHER
+        else:
+            quadrant = QUADRANT_INDETERMINATE
+        results.append(TestResult(
+            theta_star=theta_star,
+            T=T,
+            observed_corroboration=corroboration,
+            observed_power=power,
+            decision=decision,
+            quadrant=quadrant,
+        ))
+    return results
+
+
 def corroboration_test(
     data: ObservedTable,
     theta_star: float,
@@ -69,45 +131,7 @@ def corroboration_test(
     "bootstrap"); the default is normal for missing-data inputs and
     bootstrap for matched-data inputs.
     """
-    if not 0.0 <= theta_star <= 1.0:
-        raise ThetaOutOfDomain(f"theta_star = {theta_star} is not in [0, 1]")
-    psi_hat = mle_psi(data)
-    method = corroboration_method(psi_hat, method)
-
-    region = ml_region(data)
-    if region.strictly_inside(theta_star):
-        T: Union[int, str] = 1
-        decision = "not_reject"
-    elif not region.contains(theta_star):
-        T = 0
-        decision = "reject_HA"
-    else:
-        T = "boundary"
-        decision = "indeterminate"
-
-    if method == "normal":
-        corroboration = corroboration_normal(psi_hat, data.sizes, theta_star)
-    else:
-        corroboration = float(corroboration_bootstrap(
-            psi_hat, data.sizes, grid=np.array([theta_star]), B=B, master_seed=master_seed
-        ).values[0])
-    power = 1.0 - corroboration
-
-    if T == 1:
-        quadrant = QUADRANT_HA if power <= POWER_SPLIT else QUADRANT_NEITHER
-    elif T == 0:
-        quadrant = QUADRANT_HB if power > POWER_SPLIT else QUADRANT_NEITHER
-    else:
-        quadrant = QUADRANT_INDETERMINATE
-
-    return TestResult(
-        theta_star=theta_star,
-        T=T,
-        observed_corroboration=corroboration,
-        observed_power=power,
-        decision=decision,
-        quadrant=quadrant,
-    )
+    return corroboration_tests(data, [theta_star], method=method, B=B, master_seed=master_seed)[0]
 
 
 def chernoff_consistency_check(

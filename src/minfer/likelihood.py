@@ -34,60 +34,59 @@ from .errors import ThetaOutOfDomain
 from .model import MissingTable
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= 1.0:
-        raise ThetaOutOfDomain(f"theta = {theta} is not in [0, 1]")
+def _thetas(theta) -> np.ndarray:
+    """``theta`` (a number or a grid) as a float array, each value checked."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    outside = ~((0.0 <= theta) & (theta <= 1.0))
+    if outside.any():
+        raise ThetaOutOfDomain(f"theta = {theta[outside][0]} is not in [0, 1]")
+    return theta
 
 
-def _cell_term(count: int, prob: float) -> float:
+def _cell_term(count: int, prob: np.ndarray) -> np.ndarray:
+    # probabilities here are never negative, and log(0) = -inf
     if count == 0:
-        return 0.0
-    if prob <= 0.0:
-        return -math.inf
-    return count * math.log(prob)
+        return np.zeros_like(prob)
+    with np.errstate(divide="ignore"):
+        return count * np.log(prob)
 
 
-def _log_lik(data: MissingTable, l11: float, l01: float, l_plus0: float) -> float:
-    return (
-        _cell_term(data.n11, l11)
-        + _cell_term(data.n01, l01)
-        + _cell_term(data.n_plus0, l_plus0)
-    )
+def _profile_log_liks(data: MissingTable, theta: np.ndarray) -> np.ndarray:
+    n = data.n
+    n11, n01, n_plus0 = data.n11, data.n01, data.n_plus0
+    below = theta < n11 / n
+    above = theta > (n11 + n_plus0) / n
+    # below: l11 = theta, and 1 - theta split over (l01, l_plus0) as (n01, n_plus0)
+    rest = n01 + n_plus0
+    if rest > 0:
+        low01, low0 = (1.0 - theta) * n01 / rest, (1.0 - theta) * n_plus0 / rest
+    else:
+        low01, low0 = 0.0, 1.0 - theta
+    # above: l01 = 1 - theta, and theta split over (l11, l_plus0) as (n11, n_plus0)
+    top = n11 + n_plus0
+    if top > 0:
+        high11, high0 = theta * n11 / top, theta * n_plus0 / top
+    else:
+        high11, high0 = theta, 0.0
+    l11 = np.where(below, theta, np.where(above, high11, n11 / n))
+    l01 = np.where(below, low01, np.where(above, 1.0 - theta, n01 / n))
+    l_plus0 = np.where(below, low0, np.where(above, high0, n_plus0 / n))
+    return _cell_term(n11, l11) + _cell_term(n01, l01) + _cell_term(n_plus0, l_plus0)
+
+
+def _mcar_log_liks(data: MissingTable, theta: np.ndarray) -> np.ndarray:
+    return _cell_term(data.n11, theta) + _cell_term(data.n01, 1.0 - theta)
 
 
 def profile_log_lik(data: MissingTable, theta: float) -> float:
     """Log profile likelihood of theta (closed form, up to the constant
     multinomial coefficient)."""
-    _check_theta(theta)
-    n = data.n
-    l11_hat = data.n11 / n
-    upper_hat = (data.n11 + data.n_plus0) / n
-
-    if theta < l11_hat:
-        rest = data.n01 + data.n_plus0
-        l11 = theta
-        if rest > 0:
-            l01 = (1.0 - theta) * data.n01 / rest
-            l_plus0 = (1.0 - theta) * data.n_plus0 / rest
-        else:
-            l01, l_plus0 = 0.0, 1.0 - theta
-    elif theta > upper_hat:
-        top = data.n11 + data.n_plus0
-        l01 = 1.0 - theta
-        if top > 0:
-            l11 = theta * data.n11 / top
-            l_plus0 = theta * data.n_plus0 / top
-        else:
-            l11, l_plus0 = theta, 0.0
-    else:
-        l11, l01, l_plus0 = l11_hat, data.n01 / n, data.n_plus0 / n
-    return _log_lik(data, l11, l01, l_plus0)
+    return float(_profile_log_liks(data, _thetas(theta))[0])
 
 
 def mcar_log_lik(data: MissingTable, theta: float) -> float:
     """Binomial log likelihood under outcome-independent response."""
-    _check_theta(theta)
-    return _cell_term(data.n11, theta) + _cell_term(data.n01, 1.0 - theta)
+    return float(_mcar_log_liks(data, _thetas(theta))[0])
 
 
 def profile_lr(data: MissingTable, theta_star: float, theta_ref: float) -> float:
@@ -106,12 +105,10 @@ def standardize(log_liks: np.ndarray) -> np.ndarray:
 
 def profile_curve(data: MissingTable, grid: np.ndarray) -> np.ndarray:
     """Standardized profile likelihood over a theta grid (peak value 1)."""
-    values = np.array([profile_log_lik(data, float(t)) for t in grid])
-    return standardize(values)
+    return standardize(_profile_log_liks(data, _thetas(grid)))
 
 
 def mcar_curve(data: MissingTable, grid: np.ndarray) -> np.ndarray:
     """Standardized benchmark likelihood over a theta grid (peak value 1)."""
-    values = np.array([mcar_log_lik(data, float(t)) for t in grid])
-    return standardize(values)
+    return standardize(_mcar_log_liks(data, _thetas(grid)))
 

@@ -215,14 +215,20 @@ class _BatchedStream(ReplicateStream):
         return _SeedWords(self.state, self.master_seed, (self.replicate_index,))
 
 
-def replicate_rngs(master_seed: int, B: int) -> Iterator[np.random.Generator]:
-    """Generators of replicates 0..B-1, built one at a time as the iterator
-    is consumed; replicate b's equals ``ReplicateStream(master_seed, b).rng()``.
+def replicate_rngs(master_seed: int, B: int, start: int = 0) -> Iterator[np.random.Generator]:
+    """Generators of replicates start..start+B-1, built one at a time as the
+    iterator is consumed; replicate b's equals
+    ``ReplicateStream(master_seed, b).rng()``.
 
-    The master seed is checked here: an integer >= 0, else ValidationError.
+    The master seed and start are checked here: integers >= 0 with every
+    index below 2**32 (one spawn word), else ValidationError.
     """
-    states = _state_words(master_seed, (), np.arange(B, dtype=np.uint64))
-    return (_BatchedStream(master_seed, b, state).rng() for b, state in enumerate(states))
+    start = _nonnegative_int(start, "first replicate index")
+    if start + B > 1 << 32:
+        raise ValidationError(f"replicate indices {start}..{start + B - 1} must lie below 2**32")
+    states = _state_words(master_seed, (), np.arange(start, start + B, dtype=np.uint64))
+    return (_BatchedStream(master_seed, b, state).rng()
+            for b, state in zip(range(start, start + B), states))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:

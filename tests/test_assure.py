@@ -1,4 +1,5 @@
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,124 @@ class TestSweep:
         threaded = m.assurance_sweep(trial, [0.01, 0.3], threads=4, **kwargs)
         for a, b in zip(serial, threaded):
             assert a == b
+
+
+MATCHED = m.MatchedTable(30, 100, 40, 120)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Let the sweep see four usable CPUs and record the block count of
+    each run, so a thread count above this machine's still makes blocks."""
+    monkeypatch.setattr(assure, "_usable_cpus", lambda: 4)
+    counts = []
+    run_blocks = assure._run_blocks
+
+    def recording(run_block, blocks):
+        counts.append(len(blocks))
+        run_blocks(run_block, blocks)
+
+    monkeypatch.setattr(assure, "_run_blocks", recording)
+    return counts
+
+
+class TestWorkerBlocks:
+    """Threaded sweeps against the serial run, compared with ``==``."""
+
+    @pytest.mark.parametrize("B_outer", [1, 7, 61])
+    def test_matched_sweep_equals_serial(self, B_outer, four_cpus):
+        kwargs = dict(B_outer=B_outer, inner_B=200, master_seed=13, grid=COARSE_GRID)
+        serial = m.assurance_sweep(MATCHED, [0.0, 0.02, 0.3], threads=1, **kwargs)
+        for threads in (1, 2, 3):
+            assert m.assurance_sweep(MATCHED, [0.0, 0.02, 0.3], threads=threads, **kwargs) == serial
+        assert four_cpus == [1, 1, min(2, B_outer), min(3, B_outer)]
+
+    def test_missing_bootstrap_inner_equals_serial(self, trial, four_cpus):
+        kwargs = dict(B_outer=40, inner_method="bootstrap", inner_B=100, master_seed=14,
+                      grid=COARSE_GRID)
+        serial = m.assurance_sweep(trial, [0.0, 0.05], threads=1, **kwargs)
+        assert m.assurance_sweep(trial, [0.0, 0.05], threads=3, **kwargs) == serial
+        assert four_cpus == [1, 3]
+
+    def test_normal_inner_stays_one_block(self, trial, four_cpus):
+        kwargs = dict(B_outer=40, master_seed=14, grid=COARSE_GRID)
+        serial = m.assurance_sweep(trial, [0.0, 0.05], threads=1, **kwargs)
+        assert m.assurance_sweep(trial, [0.0, 0.05], threads=4, **kwargs) == serial
+        assert four_cpus == [1, 1]
+
+    def test_select_h_equals_serial(self, four_cpus):
+        kwargs = dict(candidates=[0.0, 0.01, 0.06, 0.4], B_outer=30, inner_B=200,
+                      master_seed=15, grid=COARSE_GRID)
+        serial = m.select_h(MATCHED, 0.5, threads=1, **kwargs)
+        assert m.select_h(MATCHED, 0.5, threads=2, **kwargs) == serial
+        assert four_cpus == [1, 2]
+
+    def test_more_workers_than_cores_with_fast_switching(self, four_cpus):
+        # four workers on any machine, switching threads every microsecond:
+        # a lost or misplaced column write would change the reports
+        kwargs = dict(B_outer=61, inner_B=100, master_seed=17, grid=COARSE_GRID)
+        serial = m.assurance_sweep(MATCHED, [0.0, 0.1], threads=1, **kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = m.assurance_sweep(MATCHED, [0.0, 0.1], threads=4, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert four_cpus == [1, 4]
+
+    @pytest.mark.parametrize("failing", [1, 5])
+    def test_worker_exception_surfaces(self, failing, monkeypatch, four_cpus):
+        # B_outer = 7 on two workers: replicate 1 fails in block [0, 3),
+        # replicate 5 in block [3, 7)
+        class Boom(Exception):
+            pass
+
+        draw = assure.bounds_batch_from_rng
+
+        def failing_draw(psi, sizes, B, rng):
+            if rng.bit_generator.seed_seq.spawn_key == (failing,):
+                raise Boom(failing)
+            return draw(psi, sizes, B, rng)
+
+        monkeypatch.setattr(assure, "bounds_batch_from_rng", failing_draw)
+        for threads in (1, 2):
+            with pytest.raises(Boom, match=str(failing)):
+                m.assurance_sweep(MATCHED, [0.05], B_outer=7, inner_B=50, master_seed=16,
+                                  grid=COARSE_GRID, threads=threads)
+        assert four_cpus == [1, 2]
+
+    def test_bad_thread_count_rejected(self):
+        for threads in (0, -1):
+            with pytest.raises(m.ValidationError, match="thread count"):
+                m.assurance_sweep(MATCHED, [0.05], B_outer=5, threads=threads)
+
+
+class TestBlockPartition:
+    """The partition alone: no thread is started here."""
+
+    @staticmethod
+    def _check_cover(blocks, B_outer):
+        assert [b for block in blocks for b in block] == list(range(B_outer))
+        assert all(block.step == 1 and len(block) > 0 for block in blocks)
+        sizes = [len(block) for block in blocks]
+        assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("B_outer", [1, 2, 7, 61, 5000])
+    def test_clamped_to_cpus_and_replicates(self, cpus, B_outer, monkeypatch):
+        monkeypatch.setattr(assure, "_usable_cpus", lambda: cpus)
+        for threads in (1, 2, B_outer + 1, 10**6):
+            blocks = assure._blocks(B_outer, threads)
+            assert len(blocks) == min(threads, B_outer, cpus)
+            self._check_cover(blocks, B_outer)
+
+    def test_this_machine(self):
+        cpus = assure._usable_cpus()
+        assert cpus >= 1
+        blocks = assure._blocks(5000, 10**6)
+        assert len(blocks) == min(cpus, 5000)
+        self._check_cover(blocks, 5000)
 
 
 def _unshared_sweep(data, hs, B_outer, inner_B, master_seed):

@@ -5,6 +5,7 @@ from importlib import resources
 
 import jsonschema
 
+from minfer import assure as assure_mod
 from minfer import cli
 
 
@@ -247,6 +248,40 @@ class TestAssure:
         assert run_cli([*base, "--threads", "4", "--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+
+    def test_threads_flag_stable_on_nested_bootstrap(self, tmp_path, capsys, monkeypatch):
+        # a matched table has a nested-bootstrap inner curve, the one that
+        # runs on worker threads; two usable CPUs make the pool start anywhere
+        monkeypatch.setattr(assure_mod, "_usable_cpus", lambda: 2)
+        base = ["assure", "--setting", "matched", "--counts", "30,100,40,120",
+                "--h", "0,0.02,0.2", "--B-outer", "41", "--inner-B", "200",
+                "--grid", "0:1:0.01", "--seed", "9"]
+        a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        assert run_cli([*base, "--threads", "1", "--out", str(a)], capsys)[0] == 0
+        assert run_cli([*base, "--threads", "2", "--out", str(b)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_thread_count_reaches_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # flag, then --config, then the environment, else 1
+        seen = []
+        blocks = assure_mod._blocks
+
+        def recording(B_outer, threads):
+            seen.append(threads)
+            return blocks(B_outer, 1)
+
+        monkeypatch.setattr(assure_mod, "_blocks", recording)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"threads": 3}), encoding="utf-8")
+        args = ["assure", "--setting", "matched", "--counts", "30,100,40,120", "--h", "0.1",
+                "--B-outer", "3", "--inner-B", "20", "--grid", "0:1:0.1"]
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        assert run_cli(args, capsys)[0] == 0
+        monkeypatch.setenv(cli.THREADS_ENV, "5")
+        assert run_cli(args, capsys)[0] == 0
+        assert run_cli([*args, "--config", str(config)], capsys)[0] == 0
+        assert run_cli([*args, "--config", str(config), "--threads", "2"], capsys)[0] == 0
+        assert seen == [1, 5, 3, 2]
 
 class TestTestCommand:
     def test_single_theta(self, capsys):

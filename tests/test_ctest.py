@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import minfer as m
+from minfer import ctest
+from minfer.corroborate import bounds_batch_streams, corroboration_bootstrap
 
 
 class TestRunningExample:
@@ -70,6 +72,52 @@ class TestInvariants:
             "decision", "quadrant",
         }
 
+
+# unsorted, with a repeat and the plug-in lower bound 32/110 of the trial
+THETAS = [0.6, 0.2, 0.3, 0.2, 32 / 110, 0.5]
+
+
+class TestManyThetas:
+    def test_normal_equals_one_theta_at_a_time(self, trial):
+        many = ctest.corroboration_tests(trial, THETAS, method="normal")
+        assert many == [m.corroboration_test(trial, t, method="normal") for t in THETAS]
+
+    @pytest.mark.parametrize("counts, setting", [((32, 54, 24), "missing"),
+                                                 ((30, 100, 40, 120), "matched")])
+    def test_bootstrap_shares_one_replicate_set(self, counts, setting):
+        data = m.validate(list(counts), setting)
+        many = ctest.corroboration_tests(data, THETAS, method="bootstrap", B=700, master_seed=3)
+        lo, up = bounds_batch_streams(m.mle_psi(data), data.sizes, 700, 3)
+        assert [r.observed_corroboration for r in many] == [
+            np.count_nonzero((lo <= t) & (t <= up)) / 700 for t in THETAS
+        ]
+        assert many == [
+            m.corroboration_test(data, t, method="bootstrap", B=700, master_seed=3) for t in THETAS
+        ]
+
+    def test_bootstrap_draws_once(self, trial, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return corroboration_bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(ctest, "corroboration_bootstrap", counting)
+        ctest.corroboration_tests(trial, THETAS, method="bootstrap", B=200)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["normal", "bootstrap"])
+    def test_every_theta_checked_before_any_draw(self, trial, method, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking every theta")
+
+        monkeypatch.setattr(ctest, "corroboration_bootstrap", no_draw)
+        monkeypatch.setattr(ctest, "corroboration_normal", no_draw)
+        with pytest.raises(m.ThetaOutOfDomain, match="1.5"):
+            ctest.corroboration_tests(trial, [0.2, 0.3, 1.5], method=method)
+
+    def test_no_thetas(self, trial):
+        assert ctest.corroboration_tests(trial, [], method="bootstrap") == []
 
 class TestChernoffConsistency:
     PSI0 = m.PsiMissing(0.3, 0.5, 0.2)

@@ -166,3 +166,56 @@ class TestStandardize:
     def test_all_neg_inf(self):
         std = m.standardize(np.array([-math.inf, -math.inf]))
         assert np.all(std == 0.0)
+
+
+def _term(count, prob):
+    if count == 0:
+        return 0.0
+    return count * math.log(prob) if prob > 0.0 else -math.inf
+
+
+def _scalar_profile_log_lik(data, theta):
+    """The three regimes one theta at a time in Python floats: the
+    reference for the vectorized curve."""
+    n11, n01, n0, n = data.n11, data.n01, data.n_plus0, data.n
+    if theta < n11 / n:
+        rest = n01 + n0
+        l11, l01, l0 = theta, *(((1 - theta) * n01 / rest, (1 - theta) * n0 / rest)
+                                 if rest else (0.0, 1 - theta))
+    elif theta > (n11 + n0) / n:
+        top = n11 + n0
+        l01 = 1 - theta
+        l11, l0 = (theta * n11 / top, theta * n0 / top) if top else (theta, 0.0)
+    else:
+        l11, l01, l0 = n11 / n, n01 / n, n0 / n
+    return _term(n11, l11) + _term(n01, l01) + _term(n0, l0)
+
+
+class TestVectorizedCurves:
+    TABLES = [(32, 54, 24), (0, 5, 5), (5, 0, 5), (5, 5, 0), (0, 0, 7), (3, 0, 0), (0, 4, 0),
+              (1, 1, 1), (300000, 150000, 1050000)]
+
+    @pytest.mark.parametrize("cells", TABLES)
+    def test_matches_scalar_regimes(self, cells):
+        data = m.MissingTable(*cells)
+        n = data.n
+        # the regime edges exactly, and points on both sides of each
+        edges = [data.n11 / n, (data.n11 + data.n_plus0) / n]
+        grid = np.unique(np.clip(np.concatenate(
+            [np.linspace(0.0, 1.0, 101), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]
+        ), 0.0, 1.0))
+        ref = np.array([_scalar_profile_log_lik(data, float(t)) for t in grid])
+        got = np.array([m.profile_log_lik(data, float(t)) for t in grid])
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        finite = np.isfinite(ref)
+        assert got[finite] == pytest.approx(ref[finite], rel=1e-13, abs=1e-12)
+        assert m.profile_curve(data, grid) == pytest.approx(m.standardize(ref), rel=1e-12, abs=1e-15)
+        mcar_ref = [_term(data.n11, t) + _term(data.n01, 1 - t) for t in grid]
+        assert m.mcar_curve(data, grid) == pytest.approx(m.standardize(mcar_ref), rel=1e-12, abs=1e-15)
+
+    def test_curve_grid_out_of_domain(self, trial):
+        for curve in (m.profile_curve, m.mcar_curve):
+            with pytest.raises(m.ThetaOutOfDomain, match="1.2"):
+                curve(trial, np.array([0.1, 1.2, 0.5]))
+            with pytest.raises(m.ThetaOutOfDomain):
+                curve(trial, np.array([-0.1, 0.5]))

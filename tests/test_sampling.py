@@ -212,6 +212,20 @@ class TestSeedingOracle:
             )
             assert seq.generate_state(3).tolist() == oracle_seq.generate_state(3).tolist()
 
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_replicate_rngs_from_a_start(self, seed):
+        for start in (1, 7, 2500, 2**32 - 3):
+            for b, rng in zip(range(start, start + 3), replicate_rngs(seed, 3, start)):
+                _same_stream(rng, numpy_stream(seed, b))
+
+    def test_bad_start_rejected(self):
+        for start in (-1, 1.5, True):
+            with pytest.raises(m.ValidationError, match="first replicate index"):
+                replicate_rngs(0, 3, start)
+        # every index must fit one 32-bit spawn word
+        with pytest.raises(m.ValidationError, match="2\\*\\*32"):
+            replicate_rngs(0, 3, 2**32 - 2)
+
     def test_numpy_integer_seed(self):
         for b, rng in enumerate(replicate_rngs(np.uint64(2**64 - 1), 3)):
             _same_stream(rng, numpy_stream(2**64 - 1, b))

@@ -58,8 +58,8 @@ print(f"\nlargest offset with assurance >= 0.90: h = {chosen} "
 # maximum set, and the coverage indicator requires a nondegenerate
 # interval, so the reported assurance collapses to zero while the
 # singleton tally makes the regime visible.
-degenerate = m.assurance_bootstrap(
-    data, h=0.0, B_outer=300, inner_method="normal", master_seed=1, threads=2
-)
+degenerate = m.assurance_sweep(
+    data, [0.0], B_outer=300, inner_method="normal", master_seed=1, threads=2
+)[0]
 print(f"\nat h = 0: assurance {degenerate.tau_hat:.2f} with "
       f"{degenerate.singleton_count}/{degenerate.B_outer} single-point sets")

@@ -11,7 +11,6 @@ corroboration test, plus seeded simulation of either observed-data law.
 
 from .assure import (
     AssuranceReport,
-    assurance_bootstrap,
     assurance_of_ml_region,
     assurance_sweep,
     reports_to_csv,
@@ -90,7 +89,6 @@ __all__ = [
     "ThetaInterval",
     "ThetaOutOfDomain",
     "ValidationError",
-    "assurance_bootstrap",
     "assurance_of_ml_region",
     "assurance_sweep",
     "asymptotic_corroboration",

@@ -14,7 +14,10 @@ requested offset h on the shared replicates:
 2. compute the replicate's corroboration curve at its own MLE on the same
    theta grid (inner method: closed-form normal curve or nested bootstrap
    consuming the replicate's stream), and extract the interval of points
-   within h of the curve maximum, [L_b, U_b];
+   within h of the curve maximum, [L_b, U_b]: the set
+   ``max_corroboration_set`` gives on that curve. ``corroborate`` owns
+   the rule, its threshold and its tie slack; the sweep calls it for all
+   h at once;
 3. set delta_b = 1 exactly when Lhat <= L_b < U_b <= Uhat, where
    [Lhat, Uhat] is the plug-in region of the observed data.
 
@@ -48,8 +51,9 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .corroborate import (
-    NORMAL_TIE_EPS,
     _as_grid,
+    _max_sets,
+    _tie_epsilon,
     bounds_batch_from_rng,
     bounds_batch_streams,
     corroboration_method,
@@ -187,9 +191,8 @@ def assurance_sweep(
             f"[{region_hat.lower}, {region_hat.upper}]"
         )
 
-    n_h = len(hs)
-    lower = np.empty((n_h, B_outer))
-    upper = np.empty((n_h, B_outer))
+    lower = np.empty((len(hs), B_outer))
+    upper = np.empty((len(hs), B_outer))
     fallbacks = np.zeros(B_outer, dtype=bool)
     h_arr = np.asarray(hs)
 
@@ -205,8 +208,7 @@ def assurance_sweep(
                 lower[:, b], upper[:, b] = normal_sets[key]
                 continue
             psi_b = psi_hat.from_cells(cells, sizes)
-            tie = NORMAL_TIE_EPS
-            values = None
+            values, curve_B = None, None
             if inner_method == "normal":
                 try:
                     values = corroboration_normal_curve(psi_b, sizes, grid).values
@@ -214,13 +216,8 @@ def assurance_sweep(
                     fallbacks[b] = True
             if values is None:
                 lo_b, up_b = bounds_batch_from_rng(psi_b, sizes, inner_B, rng)
-                values = coverage_share(lo_b, up_b, grid)
-                tie = 0.5 / inner_B
-            thresholds = values.max() - h_arr - tie
-            for i in range(n_h):
-                idx = np.nonzero(values >= thresholds[i])[0]
-                lower[i, b] = grid[idx[0]]
-                upper[i, b] = grid[idx[-1]]
+                values, curve_B = coverage_share(lo_b, up_b, grid), inner_B
+            lower[:, b], upper[:, b] = _max_sets(values, grid, h_arr, _tie_epsilon(curve_B))
             if inner_method == "normal" and not fallbacks[b]:
                 normal_sets[key] = (lower[:, b].copy(), upper[:, b].copy())
 
@@ -239,23 +236,6 @@ def assurance_sweep(
         )
         for i, h in enumerate(hs)
     ]
-
-
-def assurance_bootstrap(
-    data: ObservedTable,
-    h: float,
-    B_outer: int = 5000,
-    inner_method: str | None = None,
-    inner_B: int = DEFAULT_INNER_B,
-    master_seed: int = 0,
-    grid: np.ndarray | None = None,
-    threads: int = 1,
-) -> AssuranceReport:
-    """Double-bootstrap assurance of the offset-h set; see module docs."""
-    return assurance_sweep(
-        data, [h], B_outer=B_outer, inner_method=inner_method,
-        inner_B=inner_B, master_seed=master_seed, grid=grid, threads=threads,
-    )[0]
 
 
 def assurance_of_ml_region(

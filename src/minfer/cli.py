@@ -307,9 +307,6 @@ def _add_common(parser: argparse.ArgumentParser, *, counts: bool = True) -> None
     parser.add_argument("--config", default=None, help="JSON file with default option values")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for nested-bootstrap assure replicates; "
-                        f"output does not depend on it (env {THREADS_ENV}, default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,6 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick the largest h whose assurance reaches this level")
     p.add_argument("--ml-region", dest="ml_region", action="store_true",
                    help="assurance of the plug-in region itself")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for nested-bootstrap replicates; output does "
+                   f"not depend on it (env {THREADS_ENV}, default 1)")
     p.set_defaults(func=_cmd_assure)
 
     p = sub.add_parser("test", help="corroboration test")

@@ -30,6 +30,8 @@ finite B is noise. Max-set thresholds are relaxed by half a lattice step
 on bootstrap curves (exact ties at the maximum are common there) and by a
 1e-9 float guard on normal curves; level sets at a caller-chosen alpha
 use only a float-noise guard, so nothing strictly below alpha qualifies.
+This module owns that rule: the assurance sweep (``assure``) extracts
+every replicate's sets with the same routine, for all offsets at once.
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ def _as_grid(grid: np.ndarray | None) -> np.ndarray:
     return default_grid() if grid is None else np.asarray(grid, dtype=float)
 
 
+def _tie_epsilon(B: int | None) -> float:
+    """Max-set threshold slack: half a lattice step on a bootstrap curve of
+    B replicates, a float guard on a normal curve (B is None)."""
+    return NORMAL_TIE_EPS if B is None else 0.5 / B
+
+
 @dataclass(frozen=True)
 class CorroborationCurve:
     """Corroboration estimates over an ordered theta grid."""
@@ -112,7 +120,8 @@ class CorroborationCurve:
             raise ValidationError("grid must be strictly increasing within [0, 1]")
         if values.shape != grid.shape:
             raise ValidationError("values must match the grid point-for-point")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        # written so that NaN fails too: a max set of NaN values would span the grid
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValidationError("corroboration values must lie in [0, 1]")
         if self.method not in ("bootstrap", "normal"):
             raise ValidationError(f"unknown method {self.method!r}")
@@ -125,11 +134,8 @@ class CorroborationCurve:
 
     @property
     def tie_epsilon(self) -> float:
-        """Threshold slack for max-set extraction on this curve: half a
-        lattice step for bootstrap values, a float guard otherwise."""
-        if self.method == "bootstrap":
-            return 0.5 / self.B  # type: ignore[operator]
-        return NORMAL_TIE_EPS
+        """Threshold slack for max-set extraction on this curve."""
+        return _tie_epsilon(self.B if self.method == "bootstrap" else None)
 
     def value_at(self, theta: float) -> float:
         """Value at a grid point that matches theta exactly."""
@@ -275,9 +281,23 @@ def asymptotic_corroboration(psi: Psi, theta: float) -> float | None:
     return psi.endpoint_limit(theta, region.lower, region.upper)
 
 
-def _hull(curve: CorroborationCurve, qualifying: np.ndarray) -> ThetaInterval:
-    idx = np.nonzero(qualifying)[0]
-    return ThetaInterval(float(curve.grid[idx[0]]), float(curve.grid[idx[-1]]))
+def _hulls(
+    values: np.ndarray, grid: np.ndarray, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and last grid point whose value reaches each threshold; some
+    value must reach every one."""
+    # array methods, not np.argmax/np.take: this runs once per assurance replicate
+    reach = values >= thresholds[:, None]
+    last = values.size - 1 - reach[:, ::-1].argmax(axis=1)
+    return grid.take(reach.argmax(axis=1)), grid.take(last)
+
+
+def _max_sets(
+    values: np.ndarray, grid: np.ndarray, hs: np.ndarray, tie: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hull ends of the offset-h max sets of one curve, one per h: the grid
+    points reaching max - h - tie, ``tie`` the curve's ``_tie_epsilon``."""
+    return _hulls(values, grid, values.max() - hs - tie)
 
 
 def max_corroboration_set(curve: CorroborationCurve, h: float = 0.0) -> LevelSet:
@@ -288,9 +308,9 @@ def max_corroboration_set(curve: CorroborationCurve, h: float = 0.0) -> LevelSet
     """
     if h < 0.0:
         raise ValidationError(f"offset h = {h} must be nonnegative")
-    threshold = float(np.max(curve.values)) - h - curve.tie_epsilon
+    lower, upper = _max_sets(curve.values, curve.grid, np.array([h]), curve.tie_epsilon)
     return LevelSet(
-        interval=_hull(curve, curve.values >= threshold),
+        interval=ThetaInterval(float(lower[0]), float(upper[0])),
         level=h,
         kind="max_set" if h == 0.0 else "h_offset",
     )
@@ -306,7 +326,10 @@ def level_set(curve: CorroborationCurve, alpha: float) -> LevelSet:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"level alpha = {alpha} must be in (0, 1]")
-    qualifying = curve.values >= alpha - 1e-12
-    if not qualifying.any():
+    threshold = alpha - 1e-12
+    if not np.any(curve.values >= threshold):
         raise EmptyLevelSet(f"no grid point reaches corroboration {alpha}")
-    return LevelSet(interval=_hull(curve, qualifying), level=alpha, kind="alpha_level")
+    lower, upper = _hulls(curve.values, curve.grid, np.array([threshold]))
+    return LevelSet(
+        interval=ThetaInterval(float(lower[0]), float(upper[0])), level=alpha, kind="alpha_level",
+    )

@@ -90,23 +90,16 @@ def corroboration_tests(
 
     results = []
     for theta_star, corroboration in zip(theta_stars, corroborations):
-        if region.strictly_inside(theta_star):
-            T: Union[int, str] = 1
-            decision = "not_reject"
-        elif not region.contains(theta_star):
-            T = 0
-            decision = "reject_HA"
-        else:
-            T = "boundary"
-            decision = "indeterminate"
         power = 1.0 - corroboration
-
-        if T == 1:
+        T: Union[int, str]
+        if region.strictly_inside(theta_star):
+            T, decision = 1, "not_reject"
             quadrant = QUADRANT_HA if power <= POWER_SPLIT else QUADRANT_NEITHER
-        elif T == 0:
+        elif not region.contains(theta_star):
+            T, decision = 0, "reject_HA"
             quadrant = QUADRANT_HB if power > POWER_SPLIT else QUADRANT_NEITHER
         else:
-            quadrant = QUADRANT_INDETERMINATE
+            T, decision, quadrant = "boundary", "indeterminate", QUADRANT_INDETERMINATE
         results.append(TestResult(
             theta_star=theta_star,
             T=T,

@@ -10,10 +10,11 @@ draws, so a result depends only on its arguments and master seed.
 the master seed once, and mixes the spawn word b into the pool for all
 replicates in one vectorized pass; each replicate's generator is then
 built from its words by ``ReplicateStream.rng``, one at a time, and
-agrees with numpy's SeedSequence, the test oracle, bit for bit.
-``derive_seed`` runs the same hash for one key. A lone ``ReplicateStream``
-is seeded by numpy's SeedSequence itself, which is cheaper for one key
-than the hash in Python.
+agrees with numpy's SeedSequence, the test oracle, bit for bit. That
+batched hash is the only one in this module: a single key (a lone
+``ReplicateStream``, ``derive_seed``) is hashed by numpy's SeedSequence
+itself, which is cheaper for one key than the hash in Python; both paths
+check the seed and key first, so a bad one is a ValidationError.
 
 The counts of a replicate table come from one routine per setting,
 ``draw`` on the parameter type (see ``model``); ``draw_observed`` wraps
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
@@ -102,6 +103,15 @@ def _nonnegative_int(value, what: str) -> int:
     return int(value)
 
 
+def _numpy_seed_sequence(master_seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    """numpy's ``SeedSequence(master_seed, spawn_key=key)``; a bad seed or key
+    entry is a ValidationError, as on the batched path."""
+    return np.random.SeedSequence(
+        _nonnegative_int(master_seed, "master seed"),
+        spawn_key=tuple(_nonnegative_int(k, "spawn key entry") for k in key),
+    )
+
+
 def _uint32_words(value: int, what: str) -> list[int]:
     """Little-endian 32-bit words of a non-negative integer (0 is [0])."""
     value = _nonnegative_int(value, what)
@@ -112,23 +122,15 @@ def _uint32_words(value: int, what: str) -> list[int]:
     return words
 
 
-def _state_words(
-    master_seed: int, key: Sequence[int] = (), replicates: np.ndarray | None = None
-) -> np.ndarray:
-    """``SeedSequence(master_seed, spawn_key=key).generate_state(4, np.uint64)``.
-
-    Given ``replicates``, a uint64 array of indices below 2**32, the spawn
-    key is ``key + (b,)`` for each index b instead and the result has one row
-    of 4 words per index: everything before the last spawn word is hashed
-    once, and only mixing that word in is done for all indices at once.
+def _state_words(master_seed: int, replicates: np.ndarray) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(b,)).generate_state(4, np.uint64)``
+    for each b of ``replicates``, a uint64 array of indices below 2**32, one
+    row per index: the master seed is hashed once, and only mixing the spawn
+    word in is done for all indices at once.
     """
     seed_words = _uint32_words(master_seed, "master seed")
-    # SeedSequence pads the seed with zeros to the pool size before a spawn
-    # key; without one it hashes zeros for the missing words, the same thing
-    words = [*seed_words, *[0] * (_POOL_SIZE - len(seed_words))]
-    words += [w for k in key for w in _uint32_words(k, "spawn key entry")]
-    if replicates is not None:
-        words.append(replicates)
+    # SeedSequence pads the seed with zeros to the pool size before a spawn key
+    words = [*seed_words, *[0] * (_POOL_SIZE - len(seed_words)), replicates]
     hash_const = _INIT_A
     pool = []
     for word in words[:_POOL_SIZE]:
@@ -198,11 +200,7 @@ class ReplicateStream:
         return np.random.Generator(np.random.PCG64(self._seed_sequence()))
 
     def _seed_sequence(self) -> ISpawnableSeedSequence:
-        # a lone stream is numpy's own; the checks make a bad seed or index
-        # a ValidationError, as on the batched path
-        seed = _nonnegative_int(self.master_seed, "master seed")
-        key = (_nonnegative_int(self.replicate_index, "spawn key entry"),)
-        return np.random.SeedSequence(seed, spawn_key=key)
+        return _numpy_seed_sequence(self.master_seed, (self.replicate_index,))
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ def replicate_rngs(master_seed: int, B: int, start: int = 0) -> Iterator[np.rand
     start = _nonnegative_int(start, "first replicate index")
     if start + B > 1 << 32:
         raise ValidationError(f"replicate indices {start}..{start + B - 1} must lie below 2**32")
-    states = _state_words(master_seed, (), np.arange(start, start + B, dtype=np.uint64))
+    states = _state_words(master_seed, np.arange(start, start + B, dtype=np.uint64))
     return (_BatchedStream(master_seed, b, state).rng()
             for b, state in zip(range(start, start + B), states))
 
@@ -234,7 +232,7 @@ def replicate_rngs(master_seed: int, B: int, start: int = 0) -> Iterator[np.rand
 def derive_seed(master_seed: int, *key: int) -> int:
     """Deterministic 64-bit child seed for nested Monte Carlo layers: the
     first output word of ``SeedSequence(master_seed, spawn_key=key)``."""
-    return int(_state_words(master_seed, key)[0])
+    return int(_numpy_seed_sequence(master_seed, key).generate_state(1, np.uint64)[0])
 
 
 def draw_observed(psi: Psi, sizes: int | tuple[int, int], stream: ReplicateStream) -> ObservedTable:

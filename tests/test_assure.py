@@ -14,18 +14,16 @@ COARSE_GRID = np.linspace(0.0, 1.0, 201)
 
 class TestStructure:
     def test_report_well_formed_missing(self, trial):
-        report = m.assurance_bootstrap(
-            trial, h=0.05, B_outer=50, master_seed=1, grid=COARSE_GRID
-        )
+        report = m.assurance_sweep(trial, [0.05], B_outer=50, master_seed=1, grid=COARSE_GRID)[0]
         assert report.inner_method == "normal"
         assert 0.0 <= report.L_bar <= report.U_bar <= 1.0
         assert report.tau_hat * report.B_outer == round(report.tau_hat * report.B_outer)
 
     def test_report_well_formed_matched(self):
         data = m.MatchedTable(30, 100, 40, 120)
-        report = m.assurance_bootstrap(
-            data, h=0.05, B_outer=50, inner_B=200, master_seed=2, grid=COARSE_GRID
-        )
+        report = m.assurance_sweep(
+            data, [0.05], B_outer=50, inner_B=200, master_seed=2, grid=COARSE_GRID
+        )[0]
         assert report.inner_method == "bootstrap"
         assert report.inner_B == 200
         assert 0.0 <= report.tau_hat <= 1.0
@@ -33,21 +31,19 @@ class TestStructure:
     def test_normal_inner_rejected_for_matched(self):
         data = m.MatchedTable(30, 100, 40, 120)
         with pytest.raises(m.ValidationError):
-            m.assurance_bootstrap(data, h=0.05, B_outer=10, inner_method="normal")
+            m.assurance_sweep(data, [0.05], B_outer=10, inner_method="normal")
 
     def test_bad_h_rejected(self, trial):
         with pytest.raises(m.ValidationError):
-            m.assurance_bootstrap(trial, h=1.0, B_outer=10)
+            m.assurance_sweep(trial, [1.0], B_outer=10)
         with pytest.raises(m.ValidationError):
-            m.assurance_bootstrap(trial, h=-0.01, B_outer=10)
+            m.assurance_sweep(trial, [-0.01], B_outer=10)
 
     def test_no_evidence_table_degenerates_cleanly(self):
         # all mass on the observed-zero column: every replicate set is the
         # single point 0, so the strict inequality zeroes the assurance
         data = m.MissingTable(0, 30, 0)
-        report = m.assurance_bootstrap(
-            data, h=0.0, B_outer=40, master_seed=3, grid=COARSE_GRID
-        )
+        report = m.assurance_sweep(data, [0.0], B_outer=40, master_seed=3, grid=COARSE_GRID)[0]
         assert report.tau_hat == 0.0
         assert report.singleton_count == 40
         assert report.L_bar == report.U_bar == 0.0
@@ -62,9 +58,9 @@ class TestStructure:
         # l11 = 0.1 with n = 10: about a third of the replicates estimate
         # l11 = 0 and cannot use the normal curve
         data = m.MissingTable(1, 5, 4)
-        report = m.assurance_bootstrap(
-            data, h=0.05, B_outer=120, inner_B=300, master_seed=4, grid=COARSE_GRID
-        )
+        report = m.assurance_sweep(
+            data, [0.05], B_outer=120, inner_B=300, master_seed=4, grid=COARSE_GRID
+        )[0]
         assert report.fallback_count > 0
         assert report.inner_B == 300
         assert 0.0 <= report.tau_hat <= 1.0
@@ -86,9 +82,7 @@ class TestSweep:
         sweep = m.assurance_sweep(
             trial, [0.02, 0.1], B_outer=60, master_seed=6, grid=COARSE_GRID
         )
-        single = m.assurance_bootstrap(
-            trial, 0.1, B_outer=60, master_seed=6, grid=COARSE_GRID
-        )
+        single = m.assurance_sweep(trial, [0.1], B_outer=60, master_seed=6, grid=COARSE_GRID)[0]
         assert sweep[1].tau_hat == single.tau_hat
         assert sweep[1].L_bar == single.L_bar
 
@@ -218,33 +212,42 @@ class TestBlockPartition:
         self._check_cover(blocks, 5000)
 
 
-def _unshared_sweep(data, hs, B_outer, inner_B, master_seed):
-    """(tau_hat, L_bar, U_bar) per h, the fallback count and the number of
-    distinct tables with a normal curve, every outer replicate on its own
-    inner curve: the sweep without sharing between replicates that draw
-    the same table."""
-    psi_hat, n, grid = m.mle_psi(data), data.n, m.default_grid()
+def _unshared_sweep(data, hs, B_outer, inner_B, master_seed, inner_method="normal"):
+    """(tau_hat, L_bar, U_bar, singleton_count) per h, the fallback count and
+    the number of distinct tables with a normal curve, every outer replicate
+    on its own inner ``CorroborationCurve`` and its sets from
+    ``max_corroboration_set``: the sweep without sharing between replicates
+    that draw the same table."""
+    psi_hat, sizes, grid = m.mle_psi(data), data.sizes, m.default_grid()
     region = m.ml_region(data)
     sets, fallbacks, normal_tables = [], 0, set()
     for rng in replicate_rngs(master_seed, B_outer):
-        cells = psi_hat.draw(rng, n)
-        psi_b = psi_hat.from_cells(cells, n)
-        try:
-            curve = m.corroboration_normal_curve(psi_b, n, grid)
-            normal_tables.add(tuple(cells))
-        except m.DegenerateVariance:
-            fallbacks += 1
-            lo, up = bounds_batch_from_rng(psi_b, n, inner_B, rng)
+        cells = psi_hat.draw(rng, sizes)
+        psi_b = psi_hat.from_cells(cells, sizes)
+        curve = None
+        if inner_method == "normal":
+            try:
+                curve = m.corroboration_normal_curve(psi_b, sizes, grid)
+                normal_tables.add(tuple(cells))
+            except m.DegenerateVariance:
+                fallbacks += 1
+        if curve is None:
+            lo, up = bounds_batch_from_rng(psi_b, sizes, inner_B, rng)
             curve = m.CorroborationCurve(grid, coverage_share(lo, up, grid), "bootstrap",
-                                         psi_b, n, B=inner_B)
+                                         psi_b, sizes, B=inner_B)
         sets.append([m.max_corroboration_set(curve, h).interval for h in hs])
     rows = []
     for i in range(len(hs)):
         lo = np.array([row[i].lower for row in sets])
         up = np.array([row[i].upper for row in sets])
         hits = (region.lower <= lo) & (lo < up) & (up <= region.upper)
-        rows.append((np.count_nonzero(hits) / B_outer, np.sum(lo) / B_outer, np.sum(up) / B_outer))
+        rows.append((np.count_nonzero(hits) / B_outer, np.sum(lo) / B_outer, np.sum(up) / B_outer,
+                     np.count_nonzero(lo == up)))
     return rows, fallbacks, len(normal_tables)
+
+
+def _rows(reports):
+    return [(r.tau_hat, r.L_bar, r.U_bar, r.singleton_count) for r in reports]
 
 
 class TestNormalCurveSharing:
@@ -263,10 +266,29 @@ class TestNormalCurveSharing:
 
         monkeypatch.setattr(assure, "corroboration_normal_curve", counting)
         reports = m.assurance_sweep(data, hs, B_outer=300, inner_B=50, master_seed=4)
-        assert [(r.tau_hat, r.L_bar, r.U_bar) for r in reports] == expected
+        assert _rows(reports) == expected
         assert reports[0].fallback_count == fallbacks
         # one curve per distinct table; a degenerate table is tried each time
         assert len(calls) == distinct + fallbacks < 300
+
+
+class TestNestedBootstrapSets:
+    """Each replicate's sets are ``max_corroboration_set`` of its own
+    nested-bootstrap curve, on one worker or two."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("data", [MATCHED, m.MissingTable(32, 54, 24)],
+                             ids=["matched", "missing"])
+    def test_same_reports_as_own_curves(self, data, threads, four_cpus):
+        # values are multiples of 1/200: an h that is not (0.003) takes in the
+        # lattice value below max - h only through the half-step tie slack
+        hs = [0.0, 0.003, 0.01, 0.3]
+        expected, fallbacks, _ = _unshared_sweep(data, hs, 80, 200, 4, "bootstrap")
+        reports = m.assurance_sweep(data, hs, B_outer=80, inner_method="bootstrap",
+                                    inner_B=200, master_seed=4, threads=threads)
+        assert _rows(reports) == expected
+        assert fallbacks == reports[0].fallback_count == 0
+        assert four_cpus == [threads]
 
 
 class TestMlRegionAssurance:

@@ -397,6 +397,20 @@ class TestConfigAndEnv:
         assert out == run_cli(["analyze", *TRIAL], capsys)[1]
         assert err == "minfer: warning: config key 'seeed' is not an option of analyze; ignored\n"
 
+    def test_threads_only_on_assure(self, tmp_path, capsys):
+        # the flag is a usage error elsewhere, a config key is ignored there
+        for argv in (["curve", *TRIAL, "--method", "normal"], ["analyze", *TRIAL],
+                     ["test", *TRIAL, "--theta-star", "0.3", "--method", "normal"]):
+            code, out, err = run_cli([*argv, "--threads", "2"], capsys)
+            assert code == 1 and out == ""
+            assert "unrecognized arguments: --threads 2" in err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"threads": 2}), encoding="utf-8")
+        code, out, err = run_cli(["analyze", *TRIAL, "--config", str(config)], capsys)
+        assert code == 0
+        assert out == run_cli(["analyze", *TRIAL], capsys)[1]
+        assert err == "minfer: warning: config key 'threads' is not an option of analyze; ignored\n"
+
     def test_bad_config(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text("[1,2]", encoding="utf-8")

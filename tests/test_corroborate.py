@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import minfer as m
-from minfer import _normal
+from minfer import _normal, corroborate
 from minfer.corroborate import bounds_batch_streams
 from minfer.sampling import ReplicateStream
 from oracles import normal_owen, normal_panels, normal_quad
@@ -339,10 +339,17 @@ class TestLevelSets:
         assert result.interval.upper < region.upper + 0.02
 
     def test_empty_level_set(self, trial_psi):
-        curve = m.corroboration_normal_curve(trial_psi, TRIAL_N)
-        assert curve.values.max() < 1.0
-        with pytest.raises(m.EmptyLevelSet):
-            m.level_set(curve, 1.0)
+        # alpha = 1 and alpha just above the maximum; within the 1e-12 float
+        # guard the maximum still qualifies
+        for curve in (m.corroboration_normal_curve(trial_psi, TRIAL_N),
+                      m.corroboration_bootstrap(trial_psi, TRIAL_N, B=500, master_seed=4)):
+            top = float(curve.values.max())
+            assert top < 1.0
+            for alpha in (1.0, top + 1e-9):
+                with pytest.raises(m.EmptyLevelSet):
+                    m.level_set(curve, alpha)
+            at_max = float(curve.grid[np.argmax(curve.values)])
+            assert m.level_set(curve, top + 1e-13).interval.contains(at_max)
 
     def test_alpha_near_zero_spans_positive_values(self, trial_psi):
         curve = m.corroboration_bootstrap(trial_psi, TRIAL_N, B=500, master_seed=4)
@@ -350,6 +357,20 @@ class TestLevelSets:
         positive = curve.grid[curve.values > 0]
         assert result.interval.lower == positive.min()
         assert result.interval.upper == positive.max()
+
+    def test_alpha_on_a_curve_value(self, trial_psi):
+        # a point whose value equals alpha qualifies, and no point below it
+        curve = m.corroboration_bootstrap(trial_psi, TRIAL_N, B=500, master_seed=4)
+        for alpha in np.unique(curve.values[curve.values > 0])[::7]:
+            result = m.level_set(curve, float(alpha))
+            qualifying = curve.grid[curve.values >= alpha]
+            assert (result.interval.lower, result.interval.upper) == (
+                qualifying.min(), qualifying.max()
+            )
+        top = curve.values.max()
+        at_max = curve.grid[curve.values == top]
+        result = m.level_set(curve, float(top))
+        assert (result.interval.lower, result.interval.upper) == (at_max.min(), at_max.max())
 
     def test_bad_inputs(self, trial_psi):
         curve = m.corroboration_normal_curve(trial_psi, TRIAL_N)
@@ -400,7 +421,40 @@ def _curves(cells, B, seed):
         return curves
 
 
+def _reference_hulls(values, grid, thresholds):
+    lower, upper = [], []
+    for threshold in thresholds:
+        idx = np.nonzero(values >= threshold)[0]
+        lower.append(grid[idx[0]])
+        upper.append(grid[idx[-1]])
+    return lower, upper
+
+
 class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        B=st.integers(1, 1000),
+        data=st.data(),
+    )
+    def test_hulls_match_per_threshold_scan(self, B, data):
+        # lattice values k / B with thresholds on curve values, between them
+        # and just below them, as the max-set and level-set rules produce
+        size = data.draw(st.integers(1, 60))
+        counts = data.draw(st.lists(st.integers(0, B), min_size=size, max_size=size))
+        values = np.array(counts) / B
+        grid = np.sort(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=size, max_size=size, unique=True,
+        )))
+        on_curve = st.sampled_from(values.tolist())
+        thresholds = data.draw(st.lists(st.one_of(
+            on_curve,
+            on_curve.map(lambda v: v - 0.5 / B),
+            on_curve.map(lambda v: v - 1e-12),
+            st.floats(-1.0, float(values.max())),
+        ), min_size=1, max_size=6))
+        lower, upper = corroborate._hulls(values, grid, np.array(thresholds))
+        assert (lower.tolist(), upper.tolist()) == _reference_hulls(values, grid, thresholds)
+
     @settings(max_examples=60, deadline=None)
     @given(
         cells=st.one_of(missing_tables(), matched_tables),
@@ -477,11 +531,12 @@ class TestCurveContainer:
                 grid=np.array([0.5, 0.4]), values=np.array([0.1, 0.2]),
                 method="normal", psi_at=trial_psi, sizes=10,
             )
-        with pytest.raises(m.ValidationError):
-            m.CorroborationCurve(
-                grid=np.array([0.4, 0.5]), values=np.array([0.1, 1.2]),
-                method="normal", psi_at=trial_psi, sizes=10,
-            )
+        for values in ([0.1, 1.2], [0.1, np.nan]):
+            with pytest.raises(m.ValidationError):
+                m.CorroborationCurve(
+                    grid=np.array([0.4, 0.5]), values=np.array(values),
+                    method="normal", psi_at=trial_psi, sizes=10,
+                )
         with pytest.raises(m.ValidationError):
             m.CorroborationCurve(
                 grid=np.array([0.4, 0.5]), values=np.array([0.1, 0.2]),

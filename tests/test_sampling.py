@@ -9,7 +9,7 @@ from scipy import stats
 
 import minfer as m
 from minfer.corroborate import bounds_batch_from_rng, bounds_batch_streams
-from minfer.sampling import _state_words, replicate_rngs
+from minfer.sampling import replicate_rngs
 from oracles import numpy_stream
 
 
@@ -174,7 +174,7 @@ ORACLE_SEEDS = [
 
 
 class TestSeedingOracle:
-    """The library hashes seeds itself; numpy's SeedSequence is the oracle."""
+    """The library hashes batches of seeds itself; numpy's SeedSequence is the oracle."""
 
     @pytest.mark.parametrize("B", [1, 5000])
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -236,17 +236,6 @@ class TestSeedingOracle:
         _same_stream(m.ReplicateStream(seed, b).rng(), numpy_stream(seed, b))
         rng = next(itertools.islice(replicate_rngs(seed, b + 1), b, None))
         _same_stream(rng, numpy_stream(seed, b))
-
-
-class TestStateWords:
-    """The hash behind batched streams and ``derive_seed``, word for word."""
-
-    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    def test_multiword_spawn_index(self, seed):
-        # indices of two and three 32-bit words, above any batch's
-        for b in (2**32, 2**40 + 5, 2**64 + 3):
-            oracle = np.random.SeedSequence(seed, spawn_key=(b,)).generate_state(4, np.uint64)
-            assert _state_words(seed, (b,)).tolist() == oracle.tolist()
 
 
 class TestMasterSeedValidation:

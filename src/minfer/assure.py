@@ -203,10 +203,11 @@ def assurance_sweep(
         normal_sets: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         for b, rng in zip(block, replicate_rngs(master_seed, len(block), block.start)):
             cells = psi_hat.draw(rng, sizes)
-            key = tuple(int(c) for c in cells)
-            if key in normal_sets:
-                lower[:, b], upper[:, b] = normal_sets[key]
-                continue
+            if inner_method == "normal":
+                key = tuple(int(c) for c in cells)
+                if key in normal_sets:
+                    lower[:, b], upper[:, b] = normal_sets[key]
+                    continue
             psi_b = psi_hat.from_cells(cells, sizes)
             values, curve_B = None, None
             if inner_method == "normal":
@@ -217,9 +218,10 @@ def assurance_sweep(
             if values is None:
                 lo_b, up_b = bounds_batch_from_rng(psi_b, sizes, inner_B, rng)
                 values, curve_B = coverage_share(lo_b, up_b, grid), inner_B
-            lower[:, b], upper[:, b] = _max_sets(values, grid, h_arr, _tie_epsilon(curve_B))
-            if inner_method == "normal" and not fallbacks[b]:
-                normal_sets[key] = (lower[:, b].copy(), upper[:, b].copy())
+            sets = _max_sets(values, grid, h_arr, _tie_epsilon(curve_B))
+            lower[:, b], upper[:, b] = sets
+            if curve_B is None:
+                normal_sets[key] = sets
 
     # nested-bootstrap draws release the GIL; the normal curve's small numpy
     # calls hold it, so that path stays one block

@@ -178,17 +178,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ curve
 
-def _observed_curve(args: argparse.Namespace, data: ObservedTable, grid: np.ndarray):
-    psi = mle_psi(data)
-    if corr.corroboration_method(psi, args.method) == "normal":
-        return corr.corroboration_normal_curve(psi, data.sizes, grid)
-    return corr.corroboration_bootstrap(psi, data.sizes, grid, B=args.B, master_seed=args.seed)
-
-
 def _cmd_curve(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
     grid = parse_grid(args.grid)
-    curve = _observed_curve(args, data, grid)
+    curve = corr.corroboration_curve(mle_psi(data), data.sizes, grid, args.method,
+                                     B=args.B, master_seed=args.seed)
     header, columns = ["theta", "corroboration"], [grid, curve.values]
     if isinstance(data, MissingTable):
         header += ["profile_std", "mcar_std"]
@@ -204,7 +198,8 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
         raise ValidationError("levelset needs exactly one of --alpha or --h")
     data = _table_from_args(args)
     grid = parse_grid(args.grid)
-    curve = _observed_curve(args, data, grid)
+    curve = corr.corroboration_curve(mle_psi(data), data.sizes, grid, args.method,
+                                     B=args.B, master_seed=args.seed)
     if args.alpha is not None:
         try:
             result = corr.level_set(curve, float(args.alpha))
@@ -267,7 +262,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
     if args.theta_star is None:
         raise ValidationError("test needs --theta-star (one value or a comma list)")
-    # one set of bootstrap replicates serves every theta value, as on a grid
+    # one corroboration curve serves every theta value, as on a grid
     results = [_rounded(result.to_dict()) for result in ctest.corroboration_tests(
         data, args.theta_star, method=args.method, B=args.B, master_seed=args.seed,
     )]
@@ -292,7 +287,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     psi = table_type.psi_type(*args.psi)
     sizes = args.sizes[0] if len(args.sizes) == 1 else tuple(args.sizes)
     grid = parse_grid(args.grid)
-    curve = corr.corroboration_bootstrap(psi, sizes, grid, B=args.reps, master_seed=args.seed)
+    curve = corr.corroboration_curve(psi, sizes, grid, "bootstrap", B=args.reps,
+                                     master_seed=args.seed)
     curve.to_csv(args.out or sys.stdout)
     return 0
 

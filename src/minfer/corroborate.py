@@ -24,6 +24,10 @@ Two estimators are provided:
   (Genz 2004, Stat. Comput. 14:251), Gauss-Legendre quadrature accurate to
   double precision. No Owen's T function and no scipy is involved.
 
+``corroboration_curve`` is the one method dispatch, for the CLI and the
+corroboration test (``ctest``); the assurance sweep's inner curve keeps
+its own, since its nested bootstrap draws from the replicate's generator.
+
 Level sets of a curve are reported as the convex hull of qualifying grid
 points: the population level sets are intervals, so raggedness from a
 finite B is noise. Max-set thresholds are relaxed by half a lattice step
@@ -259,6 +263,22 @@ def corroboration_normal_curve(psi: PsiMissing, n: int, grid: np.ndarray | None 
     return CorroborationCurve(
         grid=grid, values=_normal_values(psi, n, grid), method="normal", psi_at=psi, sizes=n,
     )
+
+
+def corroboration_curve(
+    psi: Psi,
+    sizes: Sizes,
+    grid: np.ndarray | None = None,
+    method: str | None = None,
+    B: int = 5000,
+    master_seed: int = 0,
+) -> CorroborationCurve:
+    """Corroboration curve at psi by ``method`` or the setting's default
+    (``corroboration_method``): the normal curve, or the bootstrap of B
+    replicates spawned from ``master_seed``."""
+    if corroboration_method(psi, method) == "normal":
+        return corroboration_normal_curve(psi, sizes, grid)
+    return corroboration_bootstrap(psi, sizes, grid, B=B, master_seed=master_seed)
 
 
 def asymptotic_corroboration(psi: Psi, theta: float) -> float | None:

@@ -12,6 +12,11 @@ observed corroboration of theta_star.
 
 No Type-I error rate is reported: the corroboration of theta_star is the
 same under either hypothesis, so it can estimate only the Type-II side.
+
+Every observed corroboration is read from one curve on the distinct
+theta_stars (``corroborate.corroboration_curve``). A normal value may
+differ from the one-point ``corroboration_normal`` in the last bit: Genz's
+quadrature sums by a dot product there, by a matrix-vector product here.
 """
 
 from __future__ import annotations
@@ -21,12 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .corroborate import (
-    bounds_batch_streams,
-    corroboration_bootstrap,
-    corroboration_method,
-    corroboration_normal,
-)
+from .corroborate import bounds_batch_streams, corroboration_curve, corroboration_method
 from .errors import BoundaryTheta, ThetaOutOfDomain, ValidationError
 from .identify import ml_region, theta_interval
 from .model import ObservedTable, Psi, mle_psi
@@ -56,19 +56,6 @@ class TestResult:
         return asdict(self)
 
 
-def _observed_corroboration(
-    psi_hat: Psi, sizes, thetas: Sequence[float], method: str, B: int, master_seed: int
-) -> list[float]:
-    """Observed corroboration of each theta: the normal approximation one
-    theta at a time, or one set of B bootstrap replicates for all of them."""
-    if method == "normal":
-        return [corroboration_normal(psi_hat, sizes, theta) for theta in thetas]
-    # the curve needs an increasing grid; thetas may come in any order
-    grid, where = np.unique(np.asarray(thetas, dtype=float), return_inverse=True)
-    curve = corroboration_bootstrap(psi_hat, sizes, grid, B=B, master_seed=master_seed)
-    return [float(v) for v in curve.values[where]]
-
-
 def corroboration_tests(
     data: ObservedTable,
     theta_stars: Sequence[float],
@@ -76,8 +63,8 @@ def corroboration_tests(
     B: int = 5000,
     master_seed: int = 0,
 ) -> list[TestResult]:
-    """``corroboration_test`` of each theta_star; every bootstrap estimate
-    comes from one shared set of B replicates (common random numbers)."""
+    """``corroboration_test`` of each theta_star, all read from one curve
+    on the distinct theta_stars (see module docs)."""
     for theta_star in theta_stars:
         if not 0.0 <= theta_star <= 1.0:
             raise ThetaOutOfDomain(f"theta_star = {theta_star} is not in [0, 1]")
@@ -86,7 +73,10 @@ def corroboration_tests(
     psi_hat = mle_psi(data)
     method = corroboration_method(psi_hat, method)
     region = ml_region(data)
-    corroborations = _observed_corroboration(psi_hat, data.sizes, theta_stars, method, B, master_seed)
+    # the curve needs an increasing grid; theta_stars may come in any order
+    grid, where = np.unique(np.asarray(theta_stars, dtype=float), return_inverse=True)
+    curve = corroboration_curve(psi_hat, data.sizes, grid, method, B=B, master_seed=master_seed)
+    corroborations = curve.values[where].tolist()
 
     results = []
     for theta_star, corroboration in zip(theta_stars, corroborations):

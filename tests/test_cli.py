@@ -304,6 +304,22 @@ class TestTestCommand:
         for item in payload:
             jsonschema.validate(item, schema)
 
+    def test_normal_many_equals_single_runs(self, capsys):
+        # one normal curve on all four values prints what four runs print
+        thetas = ["0.2", "0.3", "0.5", "0.6"]
+        code, out, _ = run_cli(
+            ["test", *TRIAL, "--theta-star", ",".join(thetas), "--method", "normal"], capsys
+        )
+        assert code == 0
+        singles = []
+        for theta in thetas:
+            single_code, single_out, _ = run_cli(
+                ["test", *TRIAL, "--theta-star", theta, "--method", "normal"], capsys
+            )
+            assert single_code == 0
+            singles.append(json.loads(single_out))
+        assert json.loads(out) == singles
+
     def test_requires_theta(self, capsys):
         assert run_cli(["test", *TRIAL], capsys)[0] == 1
 
@@ -456,15 +472,17 @@ class TestConsoleScript:
 
     def test_import_skips_numerical_integration(self):
         # numpy is the only runtime dependency: importing the CLI, a normal
-        # curve and an assurance sweep load no scipy module, in a fresh process
+        # curve and an assurance sweep load no scipy module, in a fresh
+        # process; a sweep on one worker loads no thread pool either
         runs = [["curve", *TRIAL, "--method", "normal"],
-                ["assure", *TRIAL, "--h", "0,0.01", "--B-outer", "20"]]
+                ["assure", *TRIAL, "--h", "0,0.01", "--B-outer", "20", "--threads", "2"]]
         code = ("import json, sys, minfer.cli as cli\n"
-                "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-                "loaded = [scipy()]\n"
+                "def unwanted(): return sorted(m for m in sys.modules\n"
+                "                              if m.startswith(('scipy', 'concurrent.futures')))\n"
+                "loaded = [unwanted()]\n"
                 f"for argv in {runs!r}:\n"
                 "    assert cli.main(argv) == 0\n"
-                "    loaded.append(scipy())\n"
+                "    loaded.append(unwanted())\n"
                 "print(json.dumps(loaded), file=sys.stderr)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minfer as m
-from minfer import ctest
-from minfer.corroborate import bounds_batch_streams, corroboration_bootstrap
+from minfer import corroborate, ctest
+from minfer.corroborate import (
+    bounds_batch_streams,
+    corroboration_bootstrap,
+    corroboration_normal_curve,
+)
+from test_corroborate import missing_tables
 
 
 class TestRunningExample:
@@ -65,6 +72,22 @@ class TestInvariants:
         with pytest.raises(m.ThetaOutOfDomain):
             m.corroboration_test(trial, 1.2)
 
+    def test_rejected_with_low_power_supports_neither(self, trial):
+        # B = 1: the lone replicate's region covers 0.28, below the observed
+        # region [32/110, 56/110]
+        result = m.corroboration_test(trial, 0.28, method="bootstrap", B=1, master_seed=2)
+        assert (result.T, result.decision) == (0, "reject_HA")
+        assert result.observed_corroboration == 1.0
+        assert result.quadrant == ctest.QUADRANT_NEITHER
+
+    def test_not_rejected_with_high_power_supports_neither(self):
+        # n = 3: just inside the region [1/3, 2/3] the corroboration stays low
+        data = m.validate([1, 1, 1], "missing")
+        result = m.corroboration_test(data, 0.34, method="normal")
+        assert (result.T, result.decision) == (1, "not_reject")
+        assert result.observed_corroboration == pytest.approx(0.414, abs=1e-3)
+        assert result.quadrant == ctest.QUADRANT_NEITHER
+
     def test_json_payload_shape(self, trial):
         payload = m.corroboration_test(trial, 0.2, method="normal").to_dict()
         assert set(payload) == {
@@ -102,22 +125,58 @@ class TestManyThetas:
             calls.append(args)
             return corroboration_bootstrap(*args, **kwargs)
 
-        monkeypatch.setattr(ctest, "corroboration_bootstrap", counting)
+        monkeypatch.setattr(corroborate, "corroboration_bootstrap", counting)
         ctest.corroboration_tests(trial, THETAS, method="bootstrap", B=200)
         assert len(calls) == 1
+
+    def test_normal_evaluates_one_curve(self, trial, monkeypatch):
+        grids = []
+
+        def counting(psi, n, grid=None):
+            grids.append(grid.tolist())
+            return corroboration_normal_curve(psi, n, grid)
+
+        monkeypatch.setattr(corroborate, "corroboration_normal_curve", counting)
+        ctest.corroboration_tests(trial, THETAS, method="normal")
+        assert grids == [sorted(set(THETAS))]
 
     @pytest.mark.parametrize("method", ["normal", "bootstrap"])
     def test_every_theta_checked_before_any_draw(self, trial, method, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before checking every theta")
 
-        monkeypatch.setattr(ctest, "corroboration_bootstrap", no_draw)
-        monkeypatch.setattr(ctest, "corroboration_normal", no_draw)
+        monkeypatch.setattr(corroborate, "corroboration_bootstrap", no_draw)
+        monkeypatch.setattr(corroborate, "corroboration_normal_curve", no_draw)
         with pytest.raises(m.ThetaOutOfDomain, match="1.5"):
             ctest.corroboration_tests(trial, [0.2, 0.3, 1.5], method=method)
 
     def test_no_thetas(self, trial):
         assert ctest.corroboration_tests(trial, [], method="bootstrap") == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=missing_tables(), data=st.data())
+    def test_normal_reads_one_curve(self, cells, data):
+        # unsorted theta_stars with repeats read the normal curve on the
+        # distinct ones, bit for bit; a one-theta call differs at most in the
+        # last bit (Genz's quadrature sum is a dot product on one point and a
+        # matrix-vector product on several)
+        distinct = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8, unique=True))
+        repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=4))
+        thetas = data.draw(st.permutations(distinct + repeats))
+        table = m.MissingTable(*cells)
+        try:
+            curve = m.corroboration_normal_curve(m.mle_psi(table), table.n, np.unique(thetas))
+        except m.DegenerateVariance:
+            with pytest.raises(m.DegenerateVariance):
+                ctest.corroboration_tests(table, thetas, method="normal")
+            return
+        value = dict(zip(curve.grid.tolist(), curve.values.tolist()))
+        results = ctest.corroboration_tests(table, thetas, method="normal")
+        assert [r.observed_corroboration for r in results] == [value[t] for t in thetas]
+        for theta, result in zip(thetas, results):
+            alone = m.corroboration_test(table, theta, method="normal")
+            assert abs(alone.observed_corroboration - result.observed_corroboration) <= 1e-15
+
 
 class TestChernoffConsistency:
     PSI0 = m.PsiMissing(0.3, 0.5, 0.2)

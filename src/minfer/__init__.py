@@ -7,7 +7,27 @@ missingness, and two binary variables observed in separate samples
 profile likelihoods (missing data), corroboration curves with their level
 sets, high-assurance estimation of the identification region, and the
 corroboration test, plus seeded simulation of either observed-data law.
+
+Start-up: when this package imports numpy itself (numpy not yet imported,
+``OPENBLAS_THREAD_TIMEOUT`` not set by the caller), it sets that variable
+to 4 while ``import numpy`` runs and removes it afterwards. OpenBLAS then
+lets its idle worker threads spin 2**4 cycles before they sleep instead of
+its default 2**28 (tens of milliseconds of CPU per process), and minfer's
+small matrix products never hand those workers any work. The thread count
+and the results are unchanged, and ``os.environ`` and child processes see
+the environment as the caller left it.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
+    # OpenBLAS reads the variable once, when numpy loads it
+    _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 from .assure import (
     AssuranceReport,

@@ -43,6 +43,7 @@ that draw the same table share one curve and its sets.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -268,6 +269,8 @@ def select_h(
     Candidates must be sorted ascending. Raises NoQualifyingH when even
     the smallest offset falls short.
     """
+    if math.isnan(tau_min):
+        raise ValidationError("tau_min must be a number, got nan")
     cands = [float(h) for h in candidates]
     if not cands:
         raise ValidationError("candidate list must be nonempty")

@@ -20,11 +20,13 @@ pass the same checks and explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -73,6 +75,8 @@ def parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"--grid expects numeric start:stop:step, got {spec!r}") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationError(f"--grid expects finite start:stop:step, got {spec!r}")
     if step <= 0.0:
         raise ValidationError(f"grid step must be positive, got {step}")
     if stop < start:
@@ -149,13 +153,23 @@ def _table_from_args(args: argparse.Namespace) -> ObservedTable:
     return validate(args.counts, args.setting)
 
 
-def _emit(payload: object, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[IO[str]]:
+    """The stream a subcommand writes to: ``--out`` opened for writing, or stdout."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        yield sys.stdout
+        return
+    try:
+        handle = open(out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc.strerror}") from exc
+    with handle:
+        yield handle
+
+
+def _emit(payload: object, out: str | None) -> None:
+    with _output(out) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------- analyze
@@ -187,7 +201,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if isinstance(data, MissingTable):
         header += ["profile_std", "mcar_std"]
         columns += [likelihood.profile_curve(data, grid), likelihood.mcar_curve(data, grid)]
-    corr.write_csv(args.out or sys.stdout, header, zip(*columns))
+    with _output(args.out) as handle:
+        corr.write_csv(handle, header, zip(*columns))
     return 0
 
 
@@ -243,6 +258,8 @@ def _cmd_assure(args: argparse.Namespace) -> int:
         threads=threads,
     )
     if args.tau_min is not None:
+        if not 0.0 <= args.tau_min <= 1.0:
+            raise ValidationError(f"--tau-min {args.tau_min} must lie in [0, 1]")
         chosen, report = assure_mod.select_h(data, float(args.tau_min), args.h, **kwargs)
         payload = {"tau_min": _round6(args.tau_min), "chosen_h": _round6(chosen),
                    "report": _rounded(report.to_dict())}
@@ -252,7 +269,8 @@ def _cmd_assure(args: argparse.Namespace) -> int:
     if len(reports) == 1:
         _emit(_rounded(reports[0].to_dict()), args.out)
     else:
-        assure_mod.reports_to_csv(reports, args.out or sys.stdout)
+        with _output(args.out) as handle:
+            assure_mod.reports_to_csv(reports, handle)
     return 0
 
 
@@ -289,7 +307,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
     curve = corr.corroboration_curve(psi, sizes, grid, "bootstrap", B=args.reps,
                                      master_seed=args.seed)
-    curve.to_csv(args.out or sys.stdout)
+    with _output(args.out) as handle:
+        curve.to_csv(handle)
     return 0
 
 

@@ -326,8 +326,8 @@ def max_corroboration_set(curve: CorroborationCurve, h: float = 0.0) -> LevelSet
     h = 0 gives the maximum corroboration set (the hardest-to-refute
     values); larger h relaxes it.
     """
-    if h < 0.0:
-        raise ValidationError(f"offset h = {h} must be nonnegative")
+    if not 0.0 <= h < math.inf:
+        raise ValidationError(f"offset h = {h} must be finite and nonnegative")
     lower, upper = _max_sets(curve.values, curve.grid, np.array([h]), curve.tie_epsilon)
     return LevelSet(
         interval=ThetaInterval(float(lower[0]), float(upper[0])),

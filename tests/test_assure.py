@@ -335,6 +335,10 @@ class TestSelectH:
                 B_outer=40, master_seed=11, grid=COARSE_GRID,
             )
 
+    def test_nan_threshold_rejected(self, trial):
+        with pytest.raises(m.ValidationError):
+            m.select_h(trial, tau_min=float("nan"), candidates=[0.01, 0.2], B_outer=10)
+
     def test_unsorted_candidates_rejected(self, trial):
         with pytest.raises(m.ValidationError):
             m.select_h(trial, tau_min=0.5, candidates=[0.2, 0.1], B_outer=10)

@@ -4,6 +4,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from minfer import assure as assure_mod
 from minfer import cli
@@ -78,6 +79,44 @@ class TestExitCodes:
         code, _, err = run_cli(["curve", *TRIAL, "--grid", "0:1"], capsys)
         assert code == 1
         assert "start:stop:step" in err
+
+    @pytest.mark.parametrize("spec", ["0:1:nan", "nan:1:0.1", "0:inf:0.1"])
+    def test_non_finite_grid_is_one(self, capsys, spec):
+        # was exit 2: "internal error: cannot convert float NaN to integer"
+        code, out, err = run_cli(["curve", *TRIAL, "--method", "normal", "--grid", spec], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"minfer: error: --grid expects finite start:stop:step, got {spec!r}\n"
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_offset_is_one(self, capsys, h):
+        # was exit 0 with "level": NaN / Infinity (invalid JSON) and the whole grid
+        code, out, err = run_cli(["levelset", *TRIAL, "--method", "normal", "--h", h], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"minfer: error: offset h = {h} must be finite and nonnegative\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", *TRIAL],
+        ["curve", *TRIAL, "--method", "normal", "--grid", "0:1:0.5"],
+        ["assure", *TRIAL, "--h", "0.05,0.3", "--B-outer", "5", "--grid", "0:1:0.1"],
+        ["simulate", "--setting", "missing", "--psi", "0.3,0.5,0.2", "--sizes", "50",
+         "--reps", "10", "--grid", "0:1:0.5"],
+    ])
+    def test_unwritable_out_is_one(self, capsys, tmp_path, argv):
+        # was exit 2: "internal error: [Errno 2] No such file or directory"
+        for target in (tmp_path / "no-such-dir" / "x.out", tmp_path):
+            code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+            assert (code, out) == (1, ""), target
+            assert err.startswith(f"minfer: error: cannot write {target}: "), err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tau", ["nan", "-0.1", "1.5"])
+    def test_tau_min_outside_unit_interval_is_one(self, capsys, tau):
+        # nan and 1.5 ran the sweep and ended in NoQualifyingH; -0.1 exited 0
+        code, out, err = run_cli(
+            ["assure", *TRIAL, "--h", "0.01,0.06", "--tau-min", tau, "--B-outer", "5",
+             "--grid", "0:1:0.1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"minfer: error: --tau-min {float(tau)} must lie in [0, 1]\n"
 
     def test_numeric_failure_is_two(self, capsys):
         # degenerate cell estimate: the normal approximation cannot run

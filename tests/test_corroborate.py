@@ -379,6 +379,13 @@ class TestLevelSets:
         with pytest.raises(m.ValidationError):
             m.max_corroboration_set(curve, -0.1)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_offset_rejected(self, trial_psi, h):
+        # a NaN offset passed the h < 0 check and selected the whole grid
+        curve = m.corroboration_normal_curve(trial_psi, TRIAL_N)
+        with pytest.raises(m.ValidationError, match="finite"):
+            m.max_corroboration_set(curve, h)
+
 
 @st.composite
 def missing_tables(draw, degenerate_variance=True):

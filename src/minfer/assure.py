@@ -43,7 +43,6 @@ that draw the same table share one curve and its sets.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -267,10 +266,11 @@ def select_h(
     """Largest candidate offset whose assurance still reaches tau_min.
 
     Candidates must be sorted ascending. Raises NoQualifyingH when even
-    the smallest offset falls short.
+    the smallest offset falls short; a tau_min outside [0, 1] is a
+    ValidationError before any replicate is drawn.
     """
-    if math.isnan(tau_min):
-        raise ValidationError("tau_min must be a number, got nan")
+    if not 0.0 <= tau_min <= 1.0:
+        raise ValidationError(f"tau_min = {tau_min} must lie in [0, 1]")
     cands = [float(h) for h in candidates]
     if not cands:
         raise ValidationError("candidate list must be nonempty")

@@ -28,6 +28,14 @@ Two estimators are provided:
 corroboration test (``ctest``); the assurance sweep's inner curve keeps
 its own, since its nested bootstrap draws from the replicate's generator.
 
+``bounds_batch_streams`` keeps its last batch: the bounds of the most
+recent (psi, sizes, B, master_seed), two read-only arrays (16·B bytes),
+so a curve at the MLE followed by the test or the plug-in assurance at
+the same table, B and seed draws its replicates once. The memo is one
+``functools.lru_cache`` entry, safe to share across threads; a call with
+other arguments replaces it, and the bounds are the same with or
+without it.
+
 Level sets of a curve are reported as the convex hull of qualifying grid
 points: the population level sets are intervals, so raggedness from a
 finite B is noise. Max-set thresholds are relaxed by half a lattice step
@@ -40,6 +48,7 @@ every replicate's sets with the same routine, for all offsets at once.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -169,9 +178,20 @@ class LevelSet:
 
 def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in interval bounds (L, U) of B replicate tables drawn at psi,
-    one independent stream per replicate (spawn keys 0..B-1)."""
+    one independent stream per replicate (spawn keys 0..B-1), as read-only
+    arrays; the last batch is kept (see module docs)."""
+    # list or array sizes become a tuple, which can key the memo
+    return _bounds_batch(psi, sizes if np.ndim(sizes) == 0 else tuple(sizes), B, master_seed)
+
+
+# typed: a bool seed or size is not served the batch of an equal int
+@functools.lru_cache(maxsize=1, typed=True)
+def _bounds_batch(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     draws = [psi.draw(rng, sizes) for rng in replicate_rngs(master_seed, B)]
-    return psi.plug_in(np.array(draws).T, sizes)
+    bounds = psi.plug_in(np.array(draws).T, sizes)
+    for bound in bounds:
+        bound.flags.writeable = False
+    return bounds
 
 
 def bounds_batch_from_rng(psi: Psi, sizes: Sizes, B: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -8,13 +8,17 @@ draws, so a result depends only on its arguments and master seed.
 
 ``replicate_rngs`` seeds a batch. It runs SeedSequence's hash here, on
 the master seed once, and mixes the spawn word b into the pool for all
-replicates in one vectorized pass; each replicate's generator is then
-built from its words by ``ReplicateStream.rng``, one at a time, and
-agrees with numpy's SeedSequence, the test oracle, bit for bit. That
-batched hash is the only one in this module: a single key (a lone
-``ReplicateStream``, ``derive_seed``) is hashed by numpy's SeedSequence
-itself, which is cheaper for one key than the hash in Python; both paths
-check the seed and key first, so a bad one is a ValidationError.
+replicates in one vectorized pass. Each replicate's generator is then
+built straight from its words, one at a time, as
+``Generator(PCG64(_SeedWords(...)))``: ``_SeedWords`` hands PCG64 the
+precomputed words and otherwise stands in for the replicate's
+SeedSequence (its ``entropy``, ``spawn_key`` and ``spawn``). The
+generators agree with numpy's SeedSequence, the test oracle, bit for
+bit. That batched hash is the only one in this module: a single key (a
+lone ``ReplicateStream``, ``derive_seed``) is hashed by numpy's
+SeedSequence itself, which is cheaper for one key than the hash in
+Python; both paths check the seed and key first, so a bad one is a
+ValidationError.
 
 The counts of a replicate table come from one routine per setting,
 ``draw`` on the parameter type (see ``model``); ``draw_observed`` wraps
@@ -24,7 +28,7 @@ one such draw on a replicate's stream into a validated table.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -197,26 +201,14 @@ class ReplicateStream:
     replicate_index: int
 
     def rng(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self._seed_sequence()))
-
-    def _seed_sequence(self) -> ISpawnableSeedSequence:
-        return _numpy_seed_sequence(self.master_seed, (self.replicate_index,))
-
-
-@dataclass(frozen=True)
-class _BatchedStream(ReplicateStream):
-    """A replicate stream whose state words were hashed with its batch's."""
-
-    state: np.ndarray = field(repr=False, compare=False)
-
-    def _seed_sequence(self) -> ISpawnableSeedSequence:
-        return _SeedWords(self.state, self.master_seed, (self.replicate_index,))
+        seed_sequence = _numpy_seed_sequence(self.master_seed, (self.replicate_index,))
+        return np.random.Generator(np.random.PCG64(seed_sequence))
 
 
 def replicate_rngs(master_seed: int, B: int, start: int = 0) -> Iterator[np.random.Generator]:
     """Generators of replicates start..start+B-1, built one at a time as the
-    iterator is consumed; replicate b's equals
-    ``ReplicateStream(master_seed, b).rng()``.
+    iterator is consumed; replicate b's draws as
+    ``ReplicateStream(master_seed, b).rng()`` does.
 
     The master seed and start are checked here: integers >= 0 with every
     index below 2**32 (one spawn word), else ValidationError.
@@ -225,7 +217,7 @@ def replicate_rngs(master_seed: int, B: int, start: int = 0) -> Iterator[np.rand
     if start + B > 1 << 32:
         raise ValidationError(f"replicate indices {start}..{start + B - 1} must lie below 2**32")
     states = _state_words(master_seed, np.arange(start, start + B, dtype=np.uint64))
-    return (_BatchedStream(master_seed, b, state).rng()
+    return (np.random.Generator(np.random.PCG64(_SeedWords(state, master_seed, (b,))))
             for b, state in zip(range(start, start + B), states))
 
 

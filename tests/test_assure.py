@@ -329,9 +329,22 @@ class TestSelectH:
         assert chosen == 0.5
 
     def test_impossible_threshold(self, trial):
-        with pytest.raises(m.NoQualifyingH):
+        with pytest.raises(m.ValidationError, match=r"must lie in \[0, 1\]"):
             m.select_h(
                 trial, tau_min=1.01, candidates=[0.01, 0.2],
+                B_outer=40, master_seed=11, grid=COARSE_GRID,
+            )
+
+    def test_negative_threshold_rejected(self, trial, monkeypatch):
+        # rejected before the sweep, which would otherwise pick the largest h
+        monkeypatch.setattr(assure, "assurance_sweep", None)
+        with pytest.raises(m.ValidationError, match=r"must lie in \[0, 1\]"):
+            m.select_h(trial, tau_min=-0.5, candidates=[0.01, 0.2], B_outer=10)
+
+    def test_unreached_threshold(self, trial):
+        with pytest.raises(m.NoQualifyingH):
+            m.select_h(
+                trial, tau_min=1.0, candidates=[0.01, 0.2],
                 B_outer=40, master_seed=11, grid=COARSE_GRID,
             )
 

@@ -1,5 +1,8 @@
 import io
 import math
+import sys
+import threading
+import types
 import warnings
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import minfer as m
-from minfer import _normal, corroborate
+from minfer import _normal, corroborate, sampling
 from minfer.corroborate import bounds_batch_streams
 from minfer.sampling import ReplicateStream
 from oracles import normal_owen, normal_panels, normal_quad
@@ -53,6 +56,7 @@ class TestBootstrap:
 
     def test_deterministic_given_seed(self, trial_psi):
         a = m.corroboration_bootstrap(trial_psi, TRIAL_N, B=500, master_seed=11)
+        corroborate._bounds_batch.cache_clear()
         b = m.corroboration_bootstrap(trial_psi, TRIAL_N, B=500, master_seed=11)
         assert np.array_equal(a.values, b.values)
 
@@ -70,9 +74,108 @@ class TestBootstrap:
         curve = m.corroboration_bootstrap(
             psi0, 500, grid=np.array([theta0]), B=1000, master_seed=21
         )
+        corroborate._bounds_batch.cache_clear()  # a fresh draw, not the curve's kept batch
         lower, upper = bounds_batch_streams(psi0, 500, 1000, 21)
         coverage = np.mean((lower <= theta0) & (theta0 <= upper))
         assert curve.values[0] == coverage
+
+
+def _fresh_bounds(psi, sizes, B, seed):
+    corroborate._bounds_batch.cache_clear()
+    return bounds_batch_streams(psi, sizes, B, seed)
+
+
+class TestBoundsMemo:
+    """``bounds_batch_streams`` keeps its last batch; what it serves must be
+    what a fresh draw gives."""
+
+    SETTINGS = [(m.PsiMissing(0.3, 0.5, 0.2), 110), (m.PsiMatched(0.4, 0.6), (30, 40))]
+
+    @pytest.mark.parametrize("psi, sizes", SETTINGS)
+    def test_kept_batch_equals_a_fresh_draw(self, psi, sizes):
+        fresh = _fresh_bounds(psi, sizes, 300, 4)
+        hits = corroborate._bounds_batch.cache_info().hits
+        kept = bounds_batch_streams(psi, sizes, 300, 4)
+        assert corroborate._bounds_batch.cache_info().hits == hits + 1
+        for a, b in zip(kept, fresh):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("psi, sizes", SETTINGS)
+    def test_any_changed_argument_misses(self, psi, sizes):
+        other_psi = (m.PsiMissing(0.3, 0.4, 0.3) if isinstance(psi, m.PsiMissing)
+                     else m.PsiMatched(0.4, 0.5))
+        other_sizes = 111 if isinstance(sizes, int) else (30, 41)
+        for args in ((other_psi, sizes, 300, 4), (psi, other_sizes, 300, 4),
+                     (psi, sizes, 301, 4), (psi, sizes, 300, 5)):
+            expected = _fresh_bounds(*args)
+            bounds_batch_streams(psi, sizes, 300, 4)
+            misses = corroborate._bounds_batch.cache_info().misses
+            got = bounds_batch_streams(*args)
+            assert corroborate._bounds_batch.cache_info().misses == misses + 1
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+
+    def test_bool_seed_after_equal_int_seed_rejected(self):
+        psi = m.PsiMissing(0.3, 0.5, 0.2)
+        bounds_batch_streams(psi, 50, 20, 1)
+        with pytest.raises(m.ValidationError, match="master seed"):
+            bounds_batch_streams(psi, 50, 20, True)
+
+    def test_list_and_array_sizes(self):
+        psi = m.PsiMatched(0.4, 0.6)
+        expected = _fresh_bounds(psi, (30, 40), 200, 2)
+        for sizes in ([30, 40], np.array([30, 40])):
+            corroborate._bounds_batch.cache_clear()
+            for a, b in zip(bounds_batch_streams(psi, sizes, 200, 2), expected):
+                assert np.array_equal(a, b)
+        curve = m.corroboration_bootstrap(psi, [30, 40], B=200, master_seed=2)
+        assert curve.B == 200
+
+    @pytest.mark.parametrize("psi, sizes", SETTINGS)
+    def test_bounds_are_read_only(self, psi, sizes):
+        for bounds in (_fresh_bounds(psi, sizes, 50, 0), bounds_batch_streams(psi, sizes, 50, 0)):
+            for bound in bounds:
+                assert not bound.flags.writeable
+                with pytest.raises(ValueError):
+                    bound[0] = 0.5
+
+    def test_threads_with_different_seeds_get_serial_curves(self, trial_psi):
+        # more threads than cores, switching often, two per seed: the one
+        # memo entry is read and replaced under every interleaving
+        seeds = (1, 2, 1, 2)
+        serial = {
+            seed: m.corroboration_bootstrap(trial_psi, TRIAL_N, B=300, master_seed=seed).values
+            for seed in set(seeds)
+        }
+        results = [[] for _ in seeds]
+        barrier = threading.Barrier(len(seeds))
+
+        def work(seed, out):
+            barrier.wait()
+            for _ in range(25):
+                curve = m.corroboration_bootstrap(trial_psi, TRIAL_N, B=300, master_seed=seed)
+                out.append(curve.values)
+
+        threads = [threading.Thread(target=work, args=args) for args in zip(seeds, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed, out in zip(seeds, results):
+            assert len(out) == 25
+            assert all(np.array_equal(values, serial[seed]) for values in out)
+
+    def test_draw_layers_stay_plain_functions(self):
+        # the benchmark tracer wraps plain functions only: a decorator on these
+        # names would silently empty its per-layer bounds-draw metrics
+        for fn in (corroborate.bounds_batch_streams, sampling.replicate_rngs):
+            assert type(fn) is types.FunctionType
 
 
 class TestNormal:

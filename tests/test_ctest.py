@@ -110,6 +110,7 @@ class TestManyThetas:
     def test_bootstrap_shares_one_replicate_set(self, counts, setting):
         data = m.validate(list(counts), setting)
         many = ctest.corroboration_tests(data, THETAS, method="bootstrap", B=700, master_seed=3)
+        corroborate._bounds_batch.cache_clear()  # a fresh draw, not the curve's kept batch
         lo, up = bounds_batch_streams(m.mle_psi(data), data.sizes, 700, 3)
         assert [r.observed_corroboration for r in many] == [
             np.count_nonzero((lo <= t) & (t <= up)) / 700 for t in THETAS

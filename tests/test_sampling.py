@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import minfer as m
+from minfer import corroborate
 from minfer.corroborate import bounds_batch_from_rng, bounds_batch_streams
 from minfer.sampling import replicate_rngs
 from oracles import numpy_stream
@@ -283,6 +284,7 @@ class TestSeedingIsBatched:
         monkeypatch.setattr(np.random, "default_rng", counting(np.random.default_rng))
         numpy_stream(3, 0)
         assert calls == ["SeedSequence", "default_rng"]
+        corroborate._bounds_batch.cache_clear()  # the curve must draw, not read a kept batch
         curve = m.corroboration_bootstrap(m.PsiMissing(0.3, 0.5, 0.2), 50, B=500, master_seed=3)
         reports = m.assurance_sweep(
             m.MatchedTable(30, 100, 40, 120), [0.0], B_outer=20, inner_B=50, master_seed=3

@@ -278,7 +278,8 @@ def _cmd_assure(args: argparse.Namespace) -> int:
 
 def _cmd_test(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
-    if args.theta_star is None:
+    # an empty list (``--theta-star ,`` or ``"theta-star": []``) tests nothing
+    if not args.theta_star:
         raise ValidationError("test needs --theta-star (one value or a comma list)")
     # one corroboration curve serves every theta value, as on a grid
     results = [_rounded(result.to_dict()) for result in ctest.corroboration_tests(

@@ -10,8 +10,10 @@ the plug-in interval.
 Two estimators are provided:
 
 * ``corroboration_bootstrap`` resamples B replicate tables (one ``draw``
-  of the parameter type per replicate stream, see ``model``), forms their
-  plug-in bounds from the integer counts, and averages
+  of the parameter type per replicate stream, see ``model``) into one
+  (B, cells) count array, filled as each stream's generator is built, so
+  a batch takes O(B) memory and keeps no object per replicate; it forms
+  their plug-in bounds from the integer counts, and averages
   closed-interval membership indicators. One set of B replicates serves
   every grid point (common random numbers), which keeps the empirical
   curve close to its population shape (nested, quasi-concave level sets)
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -180,6 +183,8 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
     """Plug-in interval bounds (L, U) of B replicate tables drawn at psi,
     one independent stream per replicate (spawn keys 0..B-1), as read-only
     arrays; the last batch is kept (see module docs)."""
+    if B < 1:
+        raise ValidationError(f"replicate count B = {B} must be at least 1")
     # list or array sizes become a tuple, which can key the memo
     return _bounds_batch(psi, sizes if np.ndim(sizes) == 0 else tuple(sizes), B, master_seed)
 
@@ -187,8 +192,12 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
 # typed: a bool seed or size is not served the batch of an equal int
 @functools.lru_cache(maxsize=1, typed=True)
 def _bounds_batch(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    draws = [psi.draw(rng, sizes) for rng in replicate_rngs(master_seed, B)]
-    bounds = psi.plug_in(np.array(draws).T, sizes)
+    # one (B, cells) count array, filled as the generators are built; the
+    # first draw's length is the setting's cell count
+    draws = (psi.draw(rng, sizes) for rng in replicate_rngs(master_seed, B))
+    first = next(draws)
+    counts = np.fromiter(itertools.chain((first,), draws), dtype=(np.int64, len(first)), count=B)
+    bounds = psi.plug_in(counts.T, sizes)
     for bound in bounds:
         bound.flags.writeable = False
     return bounds
@@ -295,7 +304,10 @@ def corroboration_curve(
 ) -> CorroborationCurve:
     """Corroboration curve at psi by ``method`` or the setting's default
     (``corroboration_method``): the normal curve, or the bootstrap of B
-    replicates spawned from ``master_seed``."""
+    replicates spawned from ``master_seed``. B is checked whatever the
+    method, so a bad count is an error on the normal curve too."""
+    if B < 1:
+        raise ValidationError(f"replicate count B = {B} must be at least 1")
     if corroboration_method(psi, method) == "normal":
         return corroboration_normal_curve(psi, sizes, grid)
     return corroboration_bootstrap(psi, sizes, grid, B=B, master_seed=master_seed)

@@ -8,16 +8,17 @@ draws, so a result depends only on its arguments and master seed.
 
 ``replicate_rngs`` seeds a batch. It runs SeedSequence's hash here, on
 the master seed once, and mixes the spawn word b into the pool for all
-replicates in one vectorized pass. Each replicate's generator is then
-built straight from its words, one at a time, as
-``Generator(PCG64(_SeedWords(...)))``: ``_SeedWords`` hands PCG64 the
-precomputed words and otherwise stands in for the replicate's
-SeedSequence (its ``entropy``, ``spawn_key`` and ``spawn``). The
-generators agree with numpy's SeedSequence, the test oracle, bit for
-bit. That batched hash is the only one in this module: a single key (a
-lone ``ReplicateStream``, ``derive_seed``) is hashed by numpy's
-SeedSequence itself, which is cheaper for one key than the hash in
-Python; both paths check the seed and key first, so a bad one is a
+replicates in one vectorized pass, writing each uint64 word column
+straight into one (B, 4) array: O(B) memory, with no object kept per
+replicate. Each replicate's generator is then built straight from its
+words, one at a time, as ``Generator(PCG64(_SeedWords(...)))``:
+``_SeedWords`` hands PCG64 the precomputed words and otherwise stands in
+for the replicate's SeedSequence (its ``entropy``, ``spawn_key`` and
+``spawn``). The generators agree with numpy's SeedSequence, the test
+oracle, bit for bit. That batched hash is the only one in this module: a
+single key (a lone ``ReplicateStream``, ``derive_seed``) is hashed by
+numpy's SeedSequence itself, which is cheaper for one key than the hash
+in Python; both paths check the seed and key first, so a bad one is a
 ValidationError.
 
 The counts of a replicate table come from one routine per setting,
@@ -150,14 +151,14 @@ def _state_words(master_seed: int, replicates: np.ndarray) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const, _MULT_A)
             pool[dst] = _mix(pool[dst], value)
+    # uint32 output words pair up little-endian into uint64, one column each
+    state = np.empty((len(replicates), _POOL_SIZE), dtype=np.uint64)
     hash_const = _INIT_B
-    out = []
-    for i in range(2 * _POOL_SIZE):
-        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        out.append(value)
-    # uint32 output words pair up little-endian into uint64
-    pairs = [out[i] | out[i + 1] << 32 for i in range(0, len(out), 2)]
-    return np.ascontiguousarray(np.array(pairs, dtype=np.uint64).T)
+    for i in range(_POOL_SIZE):
+        low, hash_const = _hashmix(pool[2 * i % _POOL_SIZE], hash_const, _MULT_B)
+        high, hash_const = _hashmix(pool[(2 * i + 1) % _POOL_SIZE], hash_const, _MULT_B)
+        state[:, i] = low | high << 32
+    return state
 
 
 class _SeedWords(ISpawnableSeedSequence):

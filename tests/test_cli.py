@@ -118,6 +118,18 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"minfer: error: --tau-min {float(tau)} must lie in [0, 1]\n"
 
+    @pytest.mark.parametrize("B", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["curve", *TRIAL, "--method", "normal"],
+        ["levelset", *TRIAL, "--method", "normal", "--alpha", "0.5"],
+        ["test", *TRIAL, "--method", "normal", "--theta-star", "0.3"],
+    ])
+    def test_replicate_count_below_one_is_one_on_normal_curves(self, capsys, argv, B):
+        # was exit 0: the normal curve never read B
+        code, out, err = run_cli([*argv, "--B", B], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"minfer: error: replicate count B = {B} must be at least 1\n"
+
     def test_numeric_failure_is_two(self, capsys):
         # degenerate cell estimate: the normal approximation cannot run
         code, _, err = run_cli(
@@ -361,6 +373,15 @@ class TestTestCommand:
 
     def test_requires_theta(self, capsys):
         assert run_cli(["test", *TRIAL], capsys)[0] == 1
+
+    def test_empty_theta_list_is_one(self, capsys, tmp_path):
+        # was exit 0 with "[]" on stdout, by the flag and by --config alike
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"theta-star": []}), encoding="utf-8")
+        for extra in (["--theta-star", ","], ["--config", str(config)]):
+            code, out, err = run_cli(["test", *TRIAL, "--method", "normal", *extra], capsys)
+            assert (code, out) == (1, ""), extra
+            assert err == "minfer: error: test needs --theta-star (one value or a comma list)\n"
 
 
 class TestSimulate:

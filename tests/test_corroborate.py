@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import threading
+import tracemalloc
 import types
 import warnings
 
@@ -170,6 +171,35 @@ class TestBoundsMemo:
         for seed, out in zip(seeds, results):
             assert len(out) == 25
             assert all(np.array_equal(values, serial[seed]) for values in out)
+
+    @pytest.mark.parametrize("psi, sizes", SETTINGS)
+    @pytest.mark.parametrize("B", [0, -3])
+    def test_replicate_count_below_one_rejected(self, psi, sizes, B):
+        with pytest.raises(m.ValidationError, match=f"replicate count B = {B} must be at least 1"):
+            bounds_batch_streams(psi, sizes, B, 0)
+
+    @pytest.mark.parametrize("psi, sizes", SETTINGS)
+    def test_batch_memory_is_linear_in_B(self, psi, sizes):
+        # one count array and one seed-word array, no object per replicate:
+        # a list of per-replicate draws peaks at ~200-310 bytes a replicate
+        B = 5000
+        _fresh_bounds(psi, sizes, B, 3)  # lazy imports and cached properties
+        corroborate._bounds_batch.cache_clear()
+        tracemalloc.start()
+        try:
+            bounds_batch_streams(psi, sizes, B, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * B
+
+    @pytest.mark.parametrize("psi, sizes", SETTINGS)
+    @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
+    def test_batch_equals_one_stream_per_replicate(self, psi, sizes, seed):
+        B = 5000
+        cells = np.array([psi.draw(ReplicateStream(seed, b).rng(), sizes) for b in range(B)])
+        for a, b in zip(_fresh_bounds(psi, sizes, B, seed), psi.plug_in(cells.T, sizes)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_draw_layers_stay_plain_functions(self):
         # the benchmark tracer wraps plain functions only: a decorator on these

@@ -21,8 +21,10 @@ requested offset h on the shared replicates:
 3. set delta_b = 1 exactly when Lhat <= L_b < U_b <= Uhat, where
    [Lhat, Uhat] is the plug-in region of the observed data.
 
-The grid must cover [Lhat, Uhat]; otherwise a set could end at a grid
-edge that is no feature of the curve, and ``ValidationError`` is raised.
+The grid must be strictly increasing within [0, 1], as every curve's
+grid (checked before any replicate is drawn, whatever the inner method),
+and must cover [Lhat, Uhat]; otherwise a set could end at a grid edge
+that is no feature of the curve, and ``ValidationError`` is raised.
 The report aggregates tau_hat = mean(delta_b), L_bar = mean(L_b), and
 U_bar = mean(U_b). The middle inequality in step 3 is deliberately
 strict, so a replicate whose offset-h set collapses to a single grid
@@ -52,6 +54,8 @@ import numpy as np
 
 from .corroborate import (
     _as_grid,
+    _check_grid,
+    _check_offset,
     _max_sets,
     _tie_epsilon,
     bounds_batch_from_rng,
@@ -172,8 +176,7 @@ def assurance_sweep(
     if not hs:
         raise ValidationError("h_list must be nonempty")
     for h in hs:
-        if not 0.0 <= h < 1.0:
-            raise ValidationError(f"offset h = {h} must lie in [0, 1)")
+        _check_offset(h)
     if B_outer < 1:
         raise ValidationError(f"B_outer = {B_outer} must be at least 1")
     if threads < 1:
@@ -183,6 +186,7 @@ def assurance_sweep(
     if inner_B < 1:
         raise ValidationError(f"inner_B = {inner_B} must be at least 1")
     grid = _as_grid(grid)
+    _check_grid(grid)
     sizes = data.sizes
     region_hat = ml_region(data)
     if grid[0] > region_hat.lower or grid[-1] < region_hat.upper:

@@ -246,7 +246,8 @@ def _cmd_assure(args: argparse.Namespace) -> int:
         )
         _emit(_rounded(report.to_dict()), args.out)
         return 0
-    if args.h is None:
+    # an empty list (``--h ,`` or ``"h": []``) names no offset
+    if not args.h:
         raise ValidationError("assure needs --h (one value or a comma list) or --ml-region")
     grid = parse_grid(args.grid)
     kwargs = dict(
@@ -303,6 +304,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ):
         if len(values) != len(names):
             raise ValidationError(f"{args.setting}-data {flag} needs {','.join(names)}")
+    # the library's replicate count is B; this subcommand's flag is --reps
+    if args.reps < 1:
+        raise ValidationError(f"--reps {args.reps} must be at least 1")
     psi = table_type.psi_type(*args.psi)
     sizes = args.sizes[0] if len(args.sizes) == 1 else tuple(args.sizes)
     grid = parse_grid(args.grid)

@@ -107,6 +107,22 @@ def _as_grid(grid: np.ndarray | None) -> np.ndarray:
     return default_grid() if grid is None else np.asarray(grid, dtype=float)
 
 
+def _check_grid(grid: np.ndarray) -> None:
+    """A theta grid is a nonempty 1-D array, strictly increasing within
+    [0, 1]; written so that NaN fails too."""
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValidationError("grid must be a nonempty 1-D array")
+    if not (grid[0] >= 0.0 and grid[-1] <= 1.0 and np.all(np.diff(grid) > 0.0)):
+        raise ValidationError("grid must be strictly increasing within [0, 1]")
+
+
+def _check_offset(h: float) -> None:
+    """An offset below the curve maximum lies in [0, 1): corroboration lies
+    in [0, 1], so any larger h would select the whole grid."""
+    if not 0.0 <= h < 1.0:
+        raise ValidationError(f"offset h = {h} must lie in [0, 1)")
+
+
 def _tie_epsilon(B: int | None) -> float:
     """Max-set threshold slack: half a lattice step on a bootstrap curve of
     B replicates, a float guard on a normal curve (B is None)."""
@@ -130,10 +146,7 @@ class CorroborationCurve:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValidationError("grid must be a nonempty 1-D array")
-        if grid[0] < 0.0 or grid[-1] > 1.0 or np.any(np.diff(grid) <= 0.0):
-            raise ValidationError("grid must be strictly increasing within [0, 1]")
+        _check_grid(grid)
         if values.shape != grid.shape:
             raise ValidationError("values must match the grid point-for-point")
         # written so that NaN fails too: a max set of NaN values would span the grid
@@ -356,10 +369,9 @@ def max_corroboration_set(curve: CorroborationCurve, h: float = 0.0) -> LevelSet
     """Grid points within offset h of the curve maximum, as one interval.
 
     h = 0 gives the maximum corroboration set (the hardest-to-refute
-    values); larger h relaxes it.
+    values); larger h, below 1, relaxes it.
     """
-    if not 0.0 <= h < math.inf:
-        raise ValidationError(f"offset h = {h} must be finite and nonnegative")
+    _check_offset(h)
     lower, upper = _max_sets(curve.values, curve.grid, np.array([h]), curve.tie_epsilon)
     return LevelSet(
         interval=ThetaInterval(float(lower[0]), float(upper[0])),

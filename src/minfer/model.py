@@ -14,6 +14,12 @@ types, so callers never branch on the setting: a table's ``sizes`` and
 parameter type's estimate and plug-in bounds from cells, identification
 bounds, and whether the normal approximation exists (``has_normal``).
 
+A batch of matched-data draws (``size`` given, as in the nested
+bootstrap) goes through ``_binomial``, which gives numpy's own binomial
+counts and leaves the generator as numpy would, but draws numpy's
+small-mean regime in one vectorized pass instead of one pmf walk per
+draw.
+
 Counts are exact integers; estimated probabilities are double precision.
 Degenerate tables (zero cells) are accepted here and handled downstream.
 All types are immutable and safe to share across threads.
@@ -27,6 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._binomial import _binomial_draws
 from .errors import EmptySample, InconsistentTotals, NegativeCount, ValidationError
 
 SIMPLEX_TOL = 1e-12
@@ -124,9 +131,12 @@ class PsiMatched:
 
     def draw(self, rng: np.random.Generator, sizes: tuple[int, int], size: int | None = None):
         """Cells (nx, ny) of one draw of binomial(n1, l1p), then of
-        binomial(n2, lp1), or two arrays of ``size`` draws."""
+        binomial(n2, lp1), or two arrays of ``size`` draws, the ones
+        ``rng.binomial`` gives (see ``_binomial``)."""
         n1, n2 = sizes
-        return rng.binomial(n1, self.l1p, size=size), rng.binomial(n2, self.lp1, size=size)
+        if size is None:
+            return rng.binomial(n1, self.l1p), rng.binomial(n2, self.lp1)
+        return _binomial_draws(rng, n1, self.l1p, size), _binomial_draws(rng, n2, self.lp1, size)
 
     @staticmethod
     def from_cells(cells, sizes: tuple[int, int]) -> PsiMatched:

@@ -54,6 +54,25 @@ class TestStructure:
             with pytest.raises(m.ValidationError):
                 m.assurance_sweep(trial, [0.1], B_outer=5, grid=grid)
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.7, 0.3, 0.5, 1.0], [0.0, 0.5, 0.5, 1.0],
+                                      [0.0, 0.5, np.nan, 1.0], [-0.1, 0.5, 1.0]],
+                             ids=["unsorted", "repeated", "nan", "below_zero"])
+    @pytest.mark.parametrize("data,inner", [
+        (m.MatchedTable(30, 100, 40, 120), None),
+        (m.MissingTable(32, 54, 24), "normal"),
+        (m.MissingTable(32, 54, 24), "bootstrap"),
+    ], ids=["matched", "missing_normal", "missing_bootstrap"])
+    def test_grid_checked_before_any_replicate(self, data, inner, grid, monkeypatch):
+        # a nested-bootstrap sweep took an unsorted or repeated grid and
+        # reported tau 0, L_bar = U_bar = 0 and every set a singleton
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(assure, "replicate_rngs", no_draws)
+        with pytest.raises(m.ValidationError, match="strictly increasing within"):
+            m.assurance_sweep(data, [0.0, 0.1], B_outer=20, inner_method=inner,
+                              inner_B=50, grid=np.array(grid))
+
     def test_degenerate_variance_falls_back_to_bootstrap(self):
         # l11 = 0.1 with n = 10: about a third of the replicates estimate
         # l11 = 0 and cannot use the normal curve

@@ -87,12 +87,13 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"minfer: error: --grid expects finite start:stop:step, got {spec!r}\n"
 
-    @pytest.mark.parametrize("h", ["nan", "inf"])
+    @pytest.mark.parametrize("h", ["nan", "inf", "1.0", "5.0", "-0.1"])
     def test_non_finite_offset_is_one(self, capsys, h):
-        # was exit 0 with "level": NaN / Infinity (invalid JSON) and the whole grid
+        # NaN and inf were exit 0 with "level": NaN / Infinity (invalid JSON)
+        # and the whole grid; h >= 1 was exit 0 with the whole grid
         code, out, err = run_cli(["levelset", *TRIAL, "--method", "normal", "--h", h], capsys)
         assert (code, out) == (1, "")
-        assert err == f"minfer: error: offset h = {h} must be finite and nonnegative\n"
+        assert err == f"minfer: error: offset h = {h} must lie in [0, 1)\n"
 
     @pytest.mark.parametrize("argv", [
         ["analyze", *TRIAL],
@@ -243,6 +244,17 @@ class TestAssure:
         payload = json.loads(out)
         jsonschema.validate(payload, load_schema("assurance_report.schema.json"))
         assert payload["inner_method"] == "normal"
+
+    def test_empty_h_list_names_the_flag(self, capsys, tmp_path):
+        # was "h_list must be nonempty", the library's parameter name
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"h": []}), encoding="utf-8")
+        for extra in (["--h", ","], ["--config", str(config)],
+                      ["--h", ",", "--tau-min", "0.5"]):
+            code, out, err = run_cli(["assure", *TRIAL, "--B-outer", "5", *extra], capsys)
+            assert (code, out) == (1, ""), extra
+            assert err == ("minfer: error: assure needs --h (one value or a comma list) "
+                           "or --ml-region\n")
 
     def test_multi_h_csv(self, capsys):
         code, out, _ = run_cli(
@@ -405,6 +417,18 @@ class TestSimulate:
         )
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_reps_below_one_names_the_flag(self, capsys, tmp_path, reps):
+        # was "replicate count B = 0 ...", and simulate has no --B
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"reps": reps}), encoding="utf-8")
+        for extra in (["--reps", str(reps)], ["--config", str(config)]):
+            code, out, err = run_cli(
+                ["simulate", "--setting", "missing", "--psi", "0.3,0.5,0.2",
+                 "--sizes", "50", *extra], capsys)
+            assert (code, out) == (1, ""), extra
+            assert err == f"minfer: error: --reps {reps} must be at least 1\n"
 
     def test_size_psi_mismatch(self, capsys):
         code, _, err = run_cli(

@@ -443,10 +443,15 @@ class TestLevelSets:
         assert result.interval.lower == pytest.approx(0.40, abs=0.005)
 
     def test_h_one_spans_grid(self, trial_psi):
+        # h = 1 would select every grid point; it is outside the offset domain
+        # [0, 1), and an h that reaches below every value spans the grid
         curve = m.corroboration_normal_curve(trial_psi, TRIAL_N)
-        result = m.max_corroboration_set(curve, 1.0)
+        assert curve.values.max() - curve.values.min() < 0.999
+        result = m.max_corroboration_set(curve, 0.999)
         assert result.interval.lower == curve.grid[0]
         assert result.interval.upper == curve.grid[-1]
+        with pytest.raises(m.ValidationError, match=r"must lie in \[0, 1\)"):
+            m.max_corroboration_set(curve, 1.0)
 
     def test_h_nesting(self, trial_psi):
         curve = m.corroboration_bootstrap(trial_psi, TRIAL_N, B=2000, master_seed=2)
@@ -512,12 +517,16 @@ class TestLevelSets:
         with pytest.raises(m.ValidationError):
             m.max_corroboration_set(curve, -0.1)
 
-    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 1.0, 5.0])
     def test_non_finite_offset_rejected(self, trial_psi, h):
-        # a NaN offset passed the h < 0 check and selected the whole grid
+        # a NaN offset passed the h < 0 check and selected the whole grid, as
+        # any h >= 1 did; the offset domain is the assurance sweep's [0, 1)
         curve = m.corroboration_normal_curve(trial_psi, TRIAL_N)
-        with pytest.raises(m.ValidationError, match="finite"):
+        with pytest.raises(m.ValidationError, match=r"must lie in \[0, 1\)"):
             m.max_corroboration_set(curve, h)
+        data = m.validate([32, 54, 24], "missing")
+        with pytest.raises(m.ValidationError, match=r"must lie in \[0, 1\)"):
+            m.assurance_sweep(data, [h], B_outer=5)
 
 
 @st.composite

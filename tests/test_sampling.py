@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -359,6 +360,15 @@ def _merged_chisquare(observed: dict, expected: dict, reps: int) -> float:
 class TestGoodnessOfFit:
     REPS = 100_000
 
+    def _observed_law(self, psi, sizes, seed: int) -> Counter:
+        # replicate b's table from psi.draw on the batch's generator b, the
+        # stream draw_observed uses: checked on the first 1,000 replicates
+        draws = [tuple(int(c) for c in psi.draw(rng, sizes))
+                 for rng in replicate_rngs(seed, self.REPS)]
+        for b, cells in enumerate(draws[:1000]):
+            assert m.draw_observed(psi, sizes, m.ReplicateStream(seed, b)).cells == cells
+        return Counter(draws)
+
     @pytest.mark.parametrize(
         "psi,seed",
         [
@@ -369,11 +379,7 @@ class TestGoodnessOfFit:
     )
     def test_missing_law(self, psi, seed):
         n = 5
-        observed: dict = {}
-        for b in range(self.REPS):
-            t = m.draw_observed(psi, n, m.ReplicateStream(seed, b))
-            key = (t.n11, t.n01, t.n_plus0)
-            observed[key] = observed.get(key, 0) + 1
+        observed = self._observed_law(psi, n, seed)
         expected = {
             cell: math.exp(stats.multinomial.logpmf(cell, n, [psi.l11, psi.l01, psi.l_plus0]))
             for cell in _compositions(n)
@@ -383,11 +389,7 @@ class TestGoodnessOfFit:
     def test_matched_law(self):
         psi = m.PsiMatched(0.35, 0.7)
         n1, n2 = 6, 4
-        observed: dict = {}
-        for b in range(self.REPS):
-            t = m.draw_observed(psi, (n1, n2), m.ReplicateStream(104, b))
-            key = (t.nx, t.ny)
-            observed[key] = observed.get(key, 0) + 1
+        observed = self._observed_law(psi, (n1, n2), 104)
         expected = {
             (x, y): stats.binom.pmf(x, n1, psi.l1p) * stats.binom.pmf(y, n2, psi.lp1)
             for x in range(n1 + 1)

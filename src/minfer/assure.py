@@ -35,18 +35,22 @@ every time and the tally is the honest signal of that regime.
 Each outer replicate draws only from its own stream, so the report does
 not depend on how replicates are scheduled. With a nested-bootstrap inner
 curve (matched data, or ``inner_method="bootstrap"``) the replicates are
-split into contiguous blocks, one per worker thread: min(``threads``,
-B_outer, usable CPUs) of them. Their inner draws run in numpy code that
-releases the GIL, so the blocks run in parallel. The normal inner curve
-is many small numpy calls that hold the GIL, so there threads would only
-add contention, and its replicates run in one block, where replicates
-that draw the same table share one curve and its sets.
+split into contiguous blocks, min(``threads``, B_outer, usable CPUs) of
+them, and each block after the first runs in a forked worker process
+while the calling process runs the first. The blocks write their own
+columns of arrays on shared anonymous memory, so nothing is sent back;
+a worker that fails has its block rerun in the calling process, which
+raises what a serial run raises. Where ``os.fork`` does not exist the
+blocks run one after another. With the normal inner curve all
+replicates run in one block, where replicates that draw the same table
+share one curve and its sets.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
-import threading
+import warnings
 from dataclasses import asdict, dataclass
 from typing import IO, Callable, Sequence
 
@@ -127,35 +131,75 @@ def _usable_cpus() -> int:
 
 def _blocks(B_outer: int, threads: int) -> list[range]:
     """Replicate indices 0..B_outer-1 in contiguous blocks, one per worker:
-    min(threads, B_outer, usable CPUs) of them, sizes differing by at most 1."""
-    workers = min(int(threads), B_outer, _usable_cpus())
+    min(threads, B_outer, usable CPUs) of them, sizes differing by at most
+    1; one block where the process cannot fork."""
+    workers = min(int(threads), B_outer, _usable_cpus()) if hasattr(os, "fork") else 1
     edges = [B_outer * w // workers for w in range(workers + 1)]
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _shared(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """A zeroed array on anonymous shared memory, so that a forked
+    worker's writes reach this process."""
+    buffer = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
+    return np.frombuffer(buffer, dtype).reshape(shape)
+
+
+def _fork_block(run_block: Callable[[range], None], block: range) -> int:
+    """Pid of a forked worker that runs ``run_block(block)`` and exits 0,
+    or 1 on any exception, without returning into the caller's frames,
+    flushing inherited stdio buffers or printing."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork while another thread exists, and
+        # numpy's OpenBLAS pool is one; unfiltered, a caller that shows
+        # warnings would see one per sweep. The worker touches only its own
+        # generators and the shared arrays before os._exit; glibc's and
+        # OpenBLAS's atfork handlers keep malloc and the BLAS pool
+        # consistent; bench/worker.py forks from the same imported state.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        run_block(block)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _run_blocks(run_block: Callable[[range], None], blocks: list[range]) -> None:
-    """``run_block`` on each block, one thread per block when there are
-    several. A worker's exception is re-raised here; each block stops at
-    its first, so the lowest failing block's is the one a serial run raises."""
-    if len(blocks) == 1:
+    """``run_block`` on each block: the first in this process, each other
+    in a forked worker, all reaped before this returns or raises. A block
+    whose worker fails is rerun here; blocks are deterministic, so the
+    lowest failing block raises what a serial run raises."""
+    workers: dict[int, range] = {}
+    failed: list[range] = []
+    try:
+        for block in blocks[1:]:
+            try:
+                workers[_fork_block(run_block, block)] = block
+            except OSError:  # no process to spare: the block runs here
+                failed.append(block)
         run_block(blocks[0])
-        return
-    errors: list[BaseException | None] = [None] * len(blocks)
+        for pid, block in list(workers.items()):
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            if status:
+                failed.append(block)
+    finally:
+        if workers:  # raised before they were reaped: none may outlive the call
+            # imported only here, since signal's import adds ~0.1 MB to
+            # every process that loads minfer
+            import signal
 
-    def work(i: int) -> None:
-        try:
-            run_block(blocks[i])
-        except BaseException as exc:
-            errors[i] = exc
-
-    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(blocks))]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+            for pid in workers:
+                os.waitpid(pid, 0)
+    for block in sorted(failed, key=lambda block: block.start):
+        run_block(block)
 
 
 def assurance_sweep(
@@ -170,8 +214,8 @@ def assurance_sweep(
 ) -> list[AssuranceReport]:
     """Assurance reports for several offsets h from one shared outer
     bootstrap (common random numbers across the h values). ``threads``
-    caps the worker threads of a nested-bootstrap inner curve (see module
-    docs); the reports do not depend on it."""
+    caps the worker processes of a nested-bootstrap inner curve (see
+    module docs); the reports do not depend on it."""
     hs = [float(h) for h in h_list]
     if not hs:
         raise ValidationError("h_list must be nonempty")
@@ -195,9 +239,10 @@ def assurance_sweep(
             f"[{region_hat.lower}, {region_hat.upper}]"
         )
 
-    lower = np.empty((len(hs), B_outer))
-    upper = np.empty((len(hs), B_outer))
-    fallbacks = np.zeros(B_outer, dtype=bool)
+    # every block writes its own columns, so workers share these three
+    lower = _shared((len(hs), B_outer), np.float64)
+    upper = _shared((len(hs), B_outer), np.float64)
+    fallbacks = _shared((B_outer,), np.bool_)
     h_arr = np.asarray(hs)
 
     def run_block(block: range) -> None:
@@ -227,8 +272,7 @@ def assurance_sweep(
             if curve_B is None:
                 normal_sets[key] = sets
 
-    # nested-bootstrap draws release the GIL; the normal curve's small numpy
-    # calls hold it, so that path stays one block
+    # the normal path stays one block, where equal tables share their sets
     _run_blocks(run_block, _blocks(B_outer, threads if inner_method == "bootstrap" else 1))
 
     return [

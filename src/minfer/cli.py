@@ -133,16 +133,25 @@ def _config_tokens(args: argparse.Namespace, config: dict) -> list[str]:
 def _check_threads(value: int | None) -> int:
     # the flag (a --config value arrives as one), then the environment, else 1
     env = os.environ.get(THREADS_ENV)
-    if value is None and env is not None:
+    if value is not None:
+        source = f"--threads {value}"
+    elif env is not None:
         try:
             value = int(env)
         except ValueError as exc:
             raise ValidationError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-    if value is None:
+        source = f"{THREADS_ENV}={value}"
+    else:
         return 1
     if value < 1:
-        raise ValidationError(f"thread count {value} must be at least 1")
+        raise ValidationError(f"{source} must be at least 1")
     return value
+
+
+def _check_count(flag: str, value: int) -> None:
+    # a replicate count, named by the flag that set it
+    if value < 1:
+        raise ValidationError(f"{flag} {value} must be at least 1")
 
 
 def _table_from_args(args: argparse.Namespace) -> ObservedTable:
@@ -240,6 +249,7 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
 def _cmd_assure(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
     threads = _check_threads(args.threads)
+    _check_count("--B-outer", args.B_outer)
     if args.ml_region:
         report = assure_mod.assurance_of_ml_region(
             data, B_outer=args.B_outer, master_seed=args.seed
@@ -249,6 +259,7 @@ def _cmd_assure(args: argparse.Namespace) -> int:
     # an empty list (``--h ,`` or ``"h": []``) names no offset
     if not args.h:
         raise ValidationError("assure needs --h (one value or a comma list) or --ml-region")
+    _check_count("--inner-B", args.inner_B)
     grid = parse_grid(args.grid)
     kwargs = dict(
         B_outer=args.B_outer,
@@ -305,8 +316,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if len(values) != len(names):
             raise ValidationError(f"{args.setting}-data {flag} needs {','.join(names)}")
     # the library's replicate count is B; this subcommand's flag is --reps
-    if args.reps < 1:
-        raise ValidationError(f"--reps {args.reps} must be at least 1")
+    _check_count("--reps", args.reps)
     psi = table_type.psi_type(*args.psi)
     sizes = args.sizes[0] if len(args.sizes) == 1 else tuple(args.sizes)
     grid = parse_grid(args.grid)
@@ -366,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ml-region", dest="ml_region", action="store_true",
                    help="assurance of the plug-in region itself")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for nested-bootstrap replicates; output does "
-                   f"not depend on it (env {THREADS_ENV}, default 1)")
+                   help="worker processes for nested-bootstrap replicates; output "
+                   f"does not depend on it (env {THREADS_ENV}, default 1)")
     p.set_defaults(func=_cmd_assure)
 
     p = sub.add_parser("test", help="corroboration test")

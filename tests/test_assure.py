@@ -1,5 +1,9 @@
 import io
+import os
+import signal
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -204,8 +208,87 @@ class TestWorkerBlocks:
                 m.assurance_sweep(MATCHED, [0.05], B_outer=5, threads=threads)
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    """Blocks after the first run in forked workers: a worker that dies is
+    replaced by a rerun here, and no worker outlives the sweep."""
+
+    KWARGS = dict(B_outer=7, inner_B=50, master_seed=16, grid=COARSE_GRID)
+
+    def test_killed_worker_block_rerun_here(self, monkeypatch, four_cpus):
+        serial = m.assurance_sweep(MATCHED, [0.0, 0.05], threads=1, **self.KWARGS)
+        draw = assure.bounds_batch_from_rng
+        pid = os.getpid()
+
+        def killing_draw(psi, sizes, B, rng):
+            if os.getpid() != pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return draw(psi, sizes, B, rng)
+
+        monkeypatch.setattr(assure, "bounds_batch_from_rng", killing_draw)
+        assert m.assurance_sweep(MATCHED, [0.0, 0.05], threads=2, **self.KWARGS) == serial
+        assert four_cpus == [1, 2]
+        _no_child_left()
+
+    def test_clean_sweep_reaps_its_workers(self, four_cpus):
+        _no_child_left()
+        m.assurance_sweep(MATCHED, [0.05], threads=2, **self.KWARGS)
+        assert four_cpus == [2]
+        _no_child_left()
+
+    @pytest.mark.parametrize("failing", [0, 5])
+    def test_failing_sweep_reaps_its_workers(self, failing, monkeypatch, four_cpus):
+        # replicate 0 fails in this process's block, replicate 5 in the worker's
+        class Boom(Exception):
+            pass
+
+        draw = assure.bounds_batch_from_rng
+
+        def failing_draw(psi, sizes, B, rng):
+            if rng.bit_generator.seed_seq.spawn_key == (failing,):
+                raise Boom(failing)
+            return draw(psi, sizes, B, rng)
+
+        monkeypatch.setattr(assure, "bounds_batch_from_rng", failing_draw)
+        with pytest.raises(Boom, match=str(failing)):
+            m.assurance_sweep(MATCHED, [0.05], threads=2, **self.KWARGS)
+        assert four_cpus == [2]
+        _no_child_left()
+
+    def test_failed_fork_runs_the_block_here(self, monkeypatch, four_cpus):
+        serial = m.assurance_sweep(MATCHED, [0.0, 0.05], threads=1, **self.KWARGS)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert m.assurance_sweep(MATCHED, [0.0, 0.05], threads=3, **self.KWARGS) == serial
+        assert four_cpus == [1, 3]
+
+    def test_unflushed_stdout_written_once(self):
+        # a worker must not flush the stdio buffers it inherits
+        code = textwrap.dedent("""
+            import sys
+            import minfer as m
+            from minfer import assure
+            assure._usable_cpus = lambda: 2
+            sys.stdout.write("unflushed text\\n")
+            reports = m.assurance_sweep(m.MatchedTable(30, 100, 40, 120), [0.05],
+                                        B_outer=6, inner_B=50, threads=2)
+            print(reports[0].B_outer)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "unflushed text\n6\n"
+
+
 class TestBlockPartition:
-    """The partition alone: no thread is started here."""
+    """The partition alone: no worker is started here."""
 
     @staticmethod
     def _check_cover(blocks, B_outer):
@@ -222,6 +305,13 @@ class TestBlockPartition:
             blocks = assure._blocks(B_outer, threads)
             assert len(blocks) == min(threads, B_outer, cpus)
             self._check_cover(blocks, B_outer)
+
+    def test_one_block_without_fork(self, monkeypatch):
+        monkeypatch.setattr(assure, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        blocks = assure._blocks(61, 4)
+        assert len(blocks) == 1
+        self._check_cover(blocks, 61)
 
     def test_this_machine(self):
         cpus = assure._usable_cpus()

@@ -256,6 +256,30 @@ class TestAssure:
             assert err == ("minfer: error: assure needs --h (one value or a comma list) "
                            "or --ml-region\n")
 
+    @pytest.mark.parametrize("key, flag, extra", [
+        ("B_outer", "--B-outer", ["--h", "0.1"]),
+        ("B_outer", "--B-outer", ["--ml-region"]),
+        ("inner_B", "--inner-B", ["--h", "0.1"]),
+        ("threads", "--threads", ["--h", "0.1"]),
+    ])
+    def test_counts_below_one_name_the_flag(self, capsys, tmp_path, monkeypatch,
+                                            key, flag, extra):
+        # were "B_outer = 0 ...", "inner_B = 0 ..." and "thread count 0 ...",
+        # the library's names
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 0}), encoding="utf-8")
+        for given in ([flag, "0"], ["--config", str(config)]):
+            code, out, err = run_cli(["assure", *TRIAL, *extra, *given], capsys)
+            assert (code, out) == (1, ""), given
+            assert err == f"minfer: error: {flag} 0 must be at least 1\n"
+
+    def test_zero_thread_env_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.THREADS_ENV, "0")
+        code, out, err = run_cli(["assure", *TRIAL, "--h", "0.1", "--B-outer", "5"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"minfer: error: {cli.THREADS_ENV}=0 must be at least 1\n"
+
     def test_multi_h_csv(self, capsys):
         code, out, _ = run_cli(
             ["assure", *TRIAL, "--h", "0.05,0.3", "--B-outer", "40",

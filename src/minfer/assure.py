@@ -58,6 +58,7 @@ import numpy as np
 
 from .corroborate import (
     _as_grid,
+    _check_count,
     _check_grid,
     _check_offset,
     _max_sets,
@@ -221,14 +222,12 @@ def assurance_sweep(
         raise ValidationError("h_list must be nonempty")
     for h in hs:
         _check_offset(h)
-    if B_outer < 1:
-        raise ValidationError(f"B_outer = {B_outer} must be at least 1")
+    B_outer = _check_count(B_outer, "B_outer")
     if threads < 1:
         raise ValidationError(f"thread count {threads} must be at least 1")
     psi_hat = mle_psi(data)
     inner_method = corroboration_method(psi_hat, inner_method)
-    if inner_B < 1:
-        raise ValidationError(f"inner_B = {inner_B} must be at least 1")
+    inner_B = _check_count(inner_B, "inner_B")
     grid = _as_grid(grid)
     _check_grid(grid)
     sizes = data.sizes
@@ -295,8 +294,7 @@ def assurance_of_ml_region(
 ) -> AssuranceReport:
     """Assurance of the plug-in region itself: each replicate's set is its
     own plug-in region, no inner curve involved."""
-    if B_outer < 1:
-        raise ValidationError(f"B_outer = {B_outer} must be at least 1")
+    B_outer = _check_count(B_outer, "B_outer")
     region_hat = ml_region(data)
     lo, up = bounds_batch_streams(mle_psi(data), data.sizes, B_outer, master_seed)
     return _report(

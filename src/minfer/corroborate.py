@@ -9,10 +9,10 @@ the plug-in interval.
 
 Two estimators are provided:
 
-* ``corroboration_bootstrap`` resamples B replicate tables (one ``draw``
-  of the parameter type per replicate stream, see ``model``) into one
-  (B, cells) count array, filled as each stream's generator is built, so
-  a batch takes O(B) memory and keeps no object per replicate; it forms
+* ``corroboration_bootstrap`` resamples B replicate tables, replicate b
+  the ``draw`` of the parameter type on its own stream (see ``model``),
+  drawn for all replicates at once by ``sampling._replicate_counts`` into
+  one (cells, B) count array with numpy's counts bit for bit; it forms
   their plug-in bounds from the integer counts, and averages
   closed-interval membership indicators. One set of B replicates serves
   every grid point (common random numbers), which keeps the empirical
@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import functools
 import io
-import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
@@ -64,7 +64,7 @@ from ._normal import _bvn_cover, _ndtr_pair
 from .errors import DegenerateVariance, EmptyLevelSet, ValidationError
 from .identify import ThetaInterval, theta_interval
 from .model import Psi, PsiMissing
-from .sampling import replicate_rngs
+from .sampling import _replicate_counts
 
 GRID_STEP = 0.001
 NORMAL_TIE_EPS = 1e-9
@@ -121,6 +121,17 @@ def _check_offset(h: float) -> None:
     in [0, 1], so any larger h would select the whole grid."""
     if not 0.0 <= h < 1.0:
         raise ValidationError(f"offset h = {h} must lie in [0, 1)")
+
+
+def _check_count(value, name: str) -> int:
+    """A replicate count (B, B_outer, inner_B, reps): an integer >= 1, numpy
+    integers included and bool not, returned as an int; ``name`` labels it
+    in the message."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} = {value!r} must be an integer")
+    if value < 1:
+        raise ValidationError(f"{name} = {value} must be at least 1")
+    return int(value)
 
 
 def _tie_epsilon(B: int | None) -> float:
@@ -196,8 +207,7 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
     """Plug-in interval bounds (L, U) of B replicate tables drawn at psi,
     one independent stream per replicate (spawn keys 0..B-1), as read-only
     arrays; the last batch is kept (see module docs)."""
-    if B < 1:
-        raise ValidationError(f"replicate count B = {B} must be at least 1")
+    B = _check_count(B, "replicate count B")
     # list or array sizes become a tuple, which can key the memo
     return _bounds_batch(psi, sizes if np.ndim(sizes) == 0 else tuple(sizes), B, master_seed)
 
@@ -205,12 +215,7 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
 # typed: a bool seed or size is not served the batch of an equal int
 @functools.lru_cache(maxsize=1, typed=True)
 def _bounds_batch(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # one (B, cells) count array, filled as the generators are built; the
-    # first draw's length is the setting's cell count
-    draws = (psi.draw(rng, sizes) for rng in replicate_rngs(master_seed, B))
-    first = next(draws)
-    counts = np.fromiter(itertools.chain((first,), draws), dtype=(np.int64, len(first)), count=B)
-    bounds = psi.plug_in(counts.T, sizes)
+    bounds = psi.plug_in(_replicate_counts(psi, sizes, B, master_seed), sizes)
     for bound in bounds:
         bound.flags.writeable = False
     return bounds
@@ -248,8 +253,7 @@ def corroboration_bootstrap(
     the share of intervals covering each grid point. The same replicates
     serve the whole grid.
     """
-    if B < 1:
-        raise ValidationError(f"replicate count B = {B} must be at least 1")
+    B = _check_count(B, "replicate count B")
     if np.min(sizes) < 1:
         raise ValidationError(f"sample sizes {sizes} must be at least 1")
     grid = _as_grid(grid)
@@ -319,8 +323,7 @@ def corroboration_curve(
     (``corroboration_method``): the normal curve, or the bootstrap of B
     replicates spawned from ``master_seed``. B is checked whatever the
     method, so a bad count is an error on the normal curve too."""
-    if B < 1:
-        raise ValidationError(f"replicate count B = {B} must be at least 1")
+    B = _check_count(B, "replicate count B")
     if corroboration_method(psi, method) == "normal":
         return corroboration_normal_curve(psi, sizes, grid)
     return corroboration_bootstrap(psi, sizes, grid, B=B, master_seed=master_seed)

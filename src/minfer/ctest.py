@@ -26,7 +26,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .corroborate import bounds_batch_streams, corroboration_curve, corroboration_method
+from .corroborate import (
+    _check_count,
+    bounds_batch_streams,
+    corroboration_curve,
+    corroboration_method,
+)
 from .errors import BoundaryTheta, ThetaOutOfDomain, ValidationError
 from .identify import ml_region, theta_interval
 from .model import ObservedTable, Psi, mle_psi
@@ -133,8 +138,7 @@ def chernoff_consistency_check(
     """
     if not 0.0 <= theta_star <= 1.0:
         raise ThetaOutOfDomain(f"theta_star = {theta_star} is not in [0, 1]")
-    if reps < 1:
-        raise ValidationError(f"reps = {reps} must be at least 1")
+    reps = _check_count(reps, "reps")
     region0 = theta_interval(psi0)
     if theta_star == region0.lower or theta_star == region0.upper:
         raise BoundaryTheta(

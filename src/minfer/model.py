@@ -14,11 +14,15 @@ types, so callers never branch on the setting: a table's ``sizes`` and
 parameter type's estimate and plug-in bounds from cells, identification
 bounds, and whether the normal approximation exists (``has_normal``).
 
-A batch of matched-data draws (``size`` given, as in the nested
-bootstrap) goes through ``_binomial``, which gives numpy's own binomial
-counts and leaves the generator as numpy would, but draws numpy's
-small-mean regime in one vectorized pass instead of one pmf walk per
-draw.
+A batch of matched-data draws from one generator (``size`` given, as in
+the nested bootstrap) goes through ``_binomial``, which gives numpy's own
+binomial counts and leaves the generator as numpy would, but draws
+numpy's small-mean regime in one vectorized pass instead of one pmf walk
+per draw. ``draw_streams`` makes ``draw``'s one draw on each of many
+replicate streams at once (see ``sampling._replicate_counts``), composing
+``_binomial``'s draws across streams as numpy composes its own: the
+multinomial as numpy's ``random_multinomial``, the two margins one after
+the other on the same stream.
 
 Counts are exact integers; estimated probabilities are double precision.
 Degenerate tables (zero cells) are accepted here and handled downstream.
@@ -33,7 +37,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._binomial import _binomial_draws
+from ._binomial import _binomial_draws, _binomial_streams
 from .errors import EmptySample, InconsistentTotals, NegativeCount, ValidationError
 
 SIMPLEX_TOL = 1e-12
@@ -86,6 +90,28 @@ class PsiMissing:
         three arrays of ``size`` draws."""
         return rng.multinomial(sizes, self.pvals, size=size).T
 
+    def draw_streams(self, streams, sizes: int):
+        """The cells ``draw`` gives on each stream of ``streams`` (see
+        ``_binomial``), as numpy's ``random_multinomial`` makes them:
+        binomial(n, p11), then binomial(n - c11, p01 / (1 - p11)) where any
+        is left, the rest in the last cell; and whether each stream's cells
+        are numpy's."""
+        p11, p01, _ = self.pvals.tolist()
+        c11, settled = _binomial_streams(streams, sizes, p11)
+        if not settled.any():
+            # an n the kernel does not draw, say: numpy draws every replicate
+            return (c11,) * 3, settled
+        rest = sizes - c11
+        c01 = np.zeros_like(c11)
+        if p11 < 1.0:
+            # numpy hands random_binomial this ratio unchecked; above 1 (p01
+            # / (1 - p11) rounded up, when l_plus0 = 0) its walk starts at
+            # px_0 >= 1 > u and returns rest on one double, as at p = 1
+            p = min(p01 / (1.0 - p11), 1.0)
+            c01, second = _binomial_streams(streams, rest, p)
+            settled &= second
+        return (c11, c01, rest - c01), settled
+
     @staticmethod
     def from_cells(cells, n: int) -> PsiMissing:
         c11, c01, c0 = cells
@@ -137,6 +163,14 @@ class PsiMatched:
         if size is None:
             return rng.binomial(n1, self.l1p), rng.binomial(n2, self.lp1)
         return _binomial_draws(rng, n1, self.l1p, size), _binomial_draws(rng, n2, self.lp1, size)
+
+    def draw_streams(self, streams, sizes: tuple[int, int]):
+        """The cells ``draw`` gives on each stream of ``streams`` (see
+        ``_binomial``), and whether each stream's cells are numpy's."""
+        n1, n2 = sizes
+        nx, settled = _binomial_streams(streams, n1, self.l1p)
+        ny, second = _binomial_streams(streams, n2, self.lp1)
+        return (nx, ny), settled & second
 
     @staticmethod
     def from_cells(cells, sizes: tuple[int, int]) -> PsiMatched:

@@ -6,19 +6,30 @@ dedicated stream: the generator numpy's ``default_rng`` builds from
 are statistically independent and identical keys reproduce identical
 draws, so a result depends only on its arguments and master seed.
 
-``replicate_rngs`` seeds a batch. It runs SeedSequence's hash here, on
-the master seed once, and mixes the spawn word b into the pool for all
-replicates in one vectorized pass, writing each uint64 word column
-straight into one (B, 4) array: O(B) memory, with no object kept per
-replicate. Each replicate's generator is then built straight from its
-words, one at a time, as ``Generator(PCG64(_SeedWords(...)))``:
-``_SeedWords`` hands PCG64 the precomputed words and otherwise stands in
-for the replicate's SeedSequence (its ``entropy``, ``spawn_key`` and
-``spawn``). The generators agree with numpy's SeedSequence, the test
-oracle, bit for bit. That batched hash is the only one in this module: a
+Batches are seeded by SeedSequence's hash run here: the master seed is
+hashed once, and the spawn word b is mixed into the pool for all
+replicates of a batch in one vectorized pass, giving one row of four
+uint64 words per replicate. Two routines use those words:
+
+* ``_replicate_counts`` draws every replicate's table of a bootstrap batch
+  at once. ``_Streams`` seeds numpy's PCG64 (O'Neill 2014) from each row
+  as ``pcg64_set_seed`` does and steps all the states together on uint64
+  arrays, and ``draw_streams`` on the parameter type (see ``model`` and
+  ``_binomial``) makes numpy's binomial or multinomial draw on every
+  stream. The few replicates that pass cannot settle exactly are drawn by
+  numpy itself, on their own generators. Streams are stepped in chunks of
+  ``_CHUNK``, so a batch's working memory does not grow with B.
+* ``replicate_rngs`` yields each replicate's generator, built straight
+  from its words as ``Generator(PCG64(_SeedWords(...)))``, for callers
+  whose replicate goes on drawing from its stream (the assurance outer
+  loop). ``_SeedWords`` hands PCG64 the precomputed words and otherwise
+  stands in for the replicate's SeedSequence (its ``entropy``,
+  ``spawn_key`` and ``spawn``).
+
+Both agree with numpy's SeedSequence, the test oracle, bit for bit. A
 single key (a lone ``ReplicateStream``, ``derive_seed``) is hashed by
 numpy's SeedSequence itself, which is cheaper for one key than the hash
-in Python; both paths check the seed and key first, so a bad one is a
+in Python; every path checks the seed and key first, so a bad one is a
 ValidationError.
 
 The counts of a replicate table come from one routine per setting,
@@ -151,14 +162,114 @@ def _state_words(master_seed: int, replicates: np.ndarray) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const, _MULT_A)
             pool[dst] = _mix(pool[dst], value)
-    # uint32 output words pair up little-endian into uint64, one column each
-    state = np.empty((len(replicates), _POOL_SIZE), dtype=np.uint64)
-    hash_const = _INIT_B
-    for i in range(_POOL_SIZE):
-        low, hash_const = _hashmix(pool[2 * i % _POOL_SIZE], hash_const, _MULT_B)
-        high, hash_const = _hashmix(pool[(2 * i + 1) % _POOL_SIZE], hash_const, _MULT_B)
-        state[:, i] = low | high << 32
-    return state
+    # output word w hashes pool word w % 4 with the w-th constant of a chain
+    # that does not depend on the data, so all eight are hashed in one pass;
+    # uint32 words pair up little-endian into the uint64 columns
+    hash_consts = [_INIT_B]
+    for _ in range(2 * _POOL_SIZE):
+        hash_consts.append(hash_consts[-1] * _MULT_B & _MASK32)
+    consts = np.array(hash_consts, dtype=np.uint64)[:, None]
+    out = np.empty((2 * _POOL_SIZE, len(replicates)), dtype=np.uint64)
+    out[:_POOL_SIZE] = pool
+    out[_POOL_SIZE:] = out[:_POOL_SIZE]
+    out ^= consts[:-1]
+    out *= consts[1:]
+    out &= np.uint64(_MASK32)
+    out ^= out >> np.uint64(_XSHIFT)
+    out[1::2] <<= np.uint64(32)
+    out[1::2] |= out[0::2]
+    return out[1::2].T.copy()
+
+
+# numpy's PCG64 (O'Neill 2014, PCG tech report HMC-CS-2014-0905): the
+# 128-bit state steps as state·M + inc mod 2**128 and outputs XSL-RR. On
+# uint64 halves, only lo·M_lo needs its high word, from 32-bit limbs of M_lo.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & (1 << 64) - 1)
+_MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
+_MULT_LO1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+_ROTATE_SHIFT = np.uint64(58)
+_DOUBLE_SHIFT = np.uint64(11)
+_DOUBLE_UNIT = 2.0 ** -53
+# replicates whose streams step together, which bounds a batch's working memory
+_CHUNK = 512
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """state·M + inc mod 2**128 on uint64 halves (products wrap mod 2**64)."""
+    low0, low1 = lo & _LOW32, lo >> _SHIFT32
+    mid = low1 * _MULT_LO0
+    mid += low0 * _MULT_LO0 >> _SHIFT32
+    cross = low0 * _MULT_LO1
+    cross += mid & _LOW32
+    new_hi = low1 * _MULT_LO1
+    new_hi += mid >> _SHIFT32
+    new_hi += cross >> _SHIFT32
+    new_hi += lo * _MULT_HI
+    new_hi += hi * _MULT_LO
+    new_hi += inc_hi
+    new_lo = lo * _MULT_LO
+    new_lo += inc_lo
+    new_hi += new_lo < inc_lo
+    return new_hi, new_lo
+
+
+class _Streams:
+    """numpy's PCG64 generators of a batch of replicates, stepped together:
+    stream b gives the doubles ``Generator(PCG64(seed_sequence))`` gives for
+    a seed sequence whose ``generate_state(4, np.uint64)`` is ``words[b]``.
+
+    ``random(count)`` gives every stream's next ``count`` doubles without
+    moving any stream; ``keep(taken)`` then moves stream b past the first
+    ``taken[b]`` of them, so each stream takes only the doubles its draw
+    used.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        # pcg64_set_seed: inc = (words[2:4] << 1) | 1; from state 0 one step
+        # gives inc, the seed words[0:2] are added, and one more step is taken
+        self.inc_hi = words[:, 2] << np.uint64(1) | words[:, 3] >> np.uint64(63)
+        self.inc_lo = words[:, 3] << np.uint64(1) | np.uint64(1)
+        lo = self.inc_lo + words[:, 1]
+        hi = self.inc_hi + words[:, 0]
+        hi += lo < words[:, 1]
+        self.hi, self.lo = _pcg_step(hi, lo, self.inc_hi, self.inc_lo)
+
+    @property
+    def size(self) -> int:
+        return self.hi.size
+
+    def random(self, count: int) -> np.ndarray:
+        """The next ``count`` doubles of every stream, one column per
+        stream, as ``Generator.random`` makes them: (XSL-RR output >> 11)
+        times 2**-53."""
+        trail_hi = np.empty((count, self.size), dtype=np.uint64)
+        trail_lo = np.empty_like(trail_hi)
+        hi, lo = self.hi, self.lo
+        for j in range(count):
+            hi, lo = trail_hi[j], trail_lo[j] = _pcg_step(hi, lo, self.inc_hi, self.inc_lo)
+        self._trail = (trail_hi, trail_lo)
+        # XSL-RR: (hi ^ lo) rotated right by the top 6 bits of hi
+        out = trail_hi ^ trail_lo
+        rotation = trail_hi >> _ROTATE_SHIFT
+        wrapped = out << (-rotation & np.uint64(63))
+        out >>= rotation
+        out |= wrapped
+        out >>= _DOUBLE_SHIFT
+        return out * _DOUBLE_UNIT
+
+    def keep(self, taken: np.ndarray) -> None:
+        """Move stream b past the first ``taken[b]`` doubles of the last
+        ``random`` call (0 leaves it where it was)."""
+        moved = taken > 0
+        step = np.maximum(taken - 1, 0)
+        columns = np.arange(self.size)
+        self.hi = np.where(moved, self._trail[0][step, columns], self.hi)
+        self.lo = np.where(moved, self._trail[1][step, columns], self.lo)
 
 
 class _SeedWords(ISpawnableSeedSequence):
@@ -206,6 +317,15 @@ class ReplicateStream:
         return np.random.Generator(np.random.PCG64(seed_sequence))
 
 
+def _first_index(start: int, B: int) -> int:
+    """``start`` as an int, if replicates start..start+B-1 all lie below
+    2**32 (one spawn word), else ValidationError."""
+    start = _nonnegative_int(start, "first replicate index")
+    if start + B > 1 << 32:
+        raise ValidationError(f"replicate indices {start}..{start + B - 1} must lie below 2**32")
+    return start
+
+
 def replicate_rngs(master_seed: int, B: int, start: int = 0) -> Iterator[np.random.Generator]:
     """Generators of replicates start..start+B-1, built one at a time as the
     iterator is consumed; replicate b's draws as
@@ -214,12 +334,28 @@ def replicate_rngs(master_seed: int, B: int, start: int = 0) -> Iterator[np.rand
     The master seed and start are checked here: integers >= 0 with every
     index below 2**32 (one spawn word), else ValidationError.
     """
-    start = _nonnegative_int(start, "first replicate index")
-    if start + B > 1 << 32:
-        raise ValidationError(f"replicate indices {start}..{start + B - 1} must lie below 2**32")
+    start = _first_index(start, B)
     states = _state_words(master_seed, np.arange(start, start + B, dtype=np.uint64))
     return (np.random.Generator(np.random.PCG64(_SeedWords(state, master_seed, (b,))))
             for b, state in zip(range(start, start + B), states))
+
+
+def _replicate_counts(psi: Psi, sizes: int | tuple[int, int], B: int, master_seed: int) -> np.ndarray:
+    """Cells of replicates 0..B-1 drawn at psi, one row per cell: replicate
+    b's are ``psi.draw(ReplicateStream(master_seed, b).rng(), sizes)``, bit
+    for bit (see module docs)."""
+    _first_index(0, B)
+    counts = None
+    for start in range(0, B, _CHUNK):
+        words = _state_words(master_seed, np.arange(start, min(start + _CHUNK, B), dtype=np.uint64))
+        cells, settled = psi.draw_streams(_Streams(words), sizes)
+        if counts is None:
+            counts = np.empty((len(cells), B), dtype=np.int64)
+        counts[:, start:start + len(words)] = cells
+        for b in np.flatnonzero(~settled).tolist():
+            rng = np.random.Generator(np.random.PCG64(_SeedWords(words[b], master_seed, (start + b,))))
+            counts[:, start + b] = psi.draw(rng, sizes)
+    return counts
 
 
 def derive_seed(master_seed: int, *key: int) -> int:

@@ -1,9 +1,9 @@
 """The benchmark's workloads run briefly and report a checked result.
 
 A traced or untraced ``bench/run.py`` run can exit 0 while its last stdout
-line is not a result; this runs the short CLI workload both ways, and the
-one workload whose sweep forks worker processes untraced, and reads the
-detail line and the result line.
+line is not a result; this runs the short CLI workload and the library
+study both ways, and the one workload whose sweep forks worker processes
+untraced, and reads the detail line and the result line.
 """
 
 import json
@@ -52,6 +52,14 @@ needs_bench = pytest.mark.skipif(not RUN.exists(), reason="no bench/ in this che
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_cli_short_reports_a_correct_result(trace):
     _run("cli_short", trace)
+
+
+@needs_bench
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_library_study_reports_a_correct_result(trace):
+    # in-process library calls, whose bootstrap batches draw every
+    # replicate stream at once
+    _run("library_study", trace)
 
 
 @needs_bench

@@ -114,6 +114,27 @@ class TestSameAsNumpy:
             assert_numpy_counts(m.mle_psi(data), data.sizes, 500, entry["seed"])
 
 
+class TestOneNPerStream:
+    """One binomial draw per stream at one n per stream, as the missing
+    setting's second cell is drawn: the regime most streams fall in runs,
+    and the other regime's streams are left to numpy."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    @pytest.mark.parametrize("btpe_share", [0.1, 0.9])
+    def test_settled_counts_are_numpys(self, p, btpe_share):
+        seed, b = 5, np.arange(CHUNK)
+        n = np.where(b % 10 < 10 * btpe_share, 2000, 20)  # n·p' 600 or 6
+        n[::7] = 0
+        x, settled = _binomial._binomial_streams(streams(seed, CHUNK), n, p)
+        want = np.array([numpy_stream(seed, i).binomial(int(n[i]), p) for i in range(CHUNK)])
+        assert np.array_equal(x[settled], want[settled])
+        assert settled[n == 0].all() and not x[n == 0].any()
+        btpe = n == 2000
+        majority, minority = (btpe, n == 20) if btpe_share > 0.5 else (n == 20, btpe)
+        assert np.count_nonzero(settled & majority) > 0.9 * np.count_nonzero(majority)
+        assert not settled[minority].any()
+
+
 class TestFallback:
     CASES = [
         (m.PsiMatched(0.3, 1 / 3), (100, 120)),

@@ -13,59 +13,59 @@ CACM 31:216), which takes two doubles (u, v) per attempt.
 
 ``_binomial_draws`` reproduces the inversion regime for a batch drawn from
 one generator (the nested bootstrap). The walk stops at the first x whose
-cumulative sum reaches u, so X is the ``searchsorted`` position of u in
-the cumulative pmf, and one ``rng.random(size)`` gives the batch's
-doubles, the ones numpy's ``next_double`` would give. The table is built
-with numpy's formulas in numpy's evaluation order, with ``math.exp`` and
-``math.log`` (the C library's, as numpy's own), so every px_x is numpy's
-to the bit. The cumulative sum and numpy's repeated subtraction differ by
-at most 2·(bound + 1)·2**-53 (bound <= 86 in this regime), so where u's
-position among the sums lowered by a margin of 1e-12 equals its position
-among the sums raised by it, numpy's walk stops there too. Most u are
-placed without a search: a u in bucket [j/K, (j+1)/K) of a bucket that no
-shifted sum falls in has the bucket's count. A u closer than the margin
-to a sum, or past the bound, goes through numpy's exact scalar walk from
-that draw on, in order, with any doubles past the batch taken from
-``rng.random()`` one at a time: the counts, their dtype and the
-generator's state after the call are numpy's. Every other input (no
-``size``, n = 0, p = 0, p invalid or NaN, n bool, negative or beyond
-int64, n·p' > 30) goes to ``rng.binomial`` as it is, errors included.
+cumulative sum reaches u, so one ``rng.random(size)`` gives the batch's
+doubles and X is u's ``searchsorted`` position in the cumulative pmf,
+built with numpy's formulas in numpy's order and the C library's
+``math.exp`` and ``math.log``, so every px_x is numpy's to the bit. The
+cumulative sum and numpy's repeated subtraction differ by at most
+2·(bound + 1)·2**-53 (bound <= 86 here), so where u's position among the
+sums lowered by a margin of 1e-12 equals its position among the sums
+raised by it, numpy's walk stops there too (``_search``); a bucket of
+[0, 1) that no shifted sum falls in gives its u without a search. A batch
+that keeps a u within the margin of a sum or past the bound (a restart),
+at most ~2e-10 per draw, is drawn by numpy instead: the generator is
+rewound past the batch's doubles (``PCG64.advance``, with the buffered
+half word put back) and ``rng.binomial`` draws it, so the counts, their
+dtype and the generator's state after the call are numpy's by
+construction. Only PCG64 rewinds; any other bit generator goes to
+``rng.binomial`` as it is, as does every other input (no ``size``, n = 0,
+p = 0, p invalid or NaN, n bool, negative or beyond int64, n·p' > 30),
+errors included.
 
 ``_binomial_streams`` makes one draw on each of many generators at once,
 the replicate streams that ``sampling._Streams`` steps together (one n,
-or one n per stream, at one p). At one n, inversion searches the same
-shifted cumulative sums (``_walk_sums``); at many, it runs numpy's walk
-itself across the streams. BTPE runs numpy's set-up and Steps 10-60 on
-``_BTPE_ATTEMPTS`` (u, v) pairs per stream at once, and each stream keeps
-its first accepted attempt and moves past the doubles up to it. Only
-IEEE-exact operations (+ - × ÷ sqrt floor) are used, in numpy's order,
-except the logs: ``np.log`` may differ from the C library's log by one
-ulp (on 651 of 200,000 uniform doubles in (0, 1) on an AVX-512 machine),
-so a floor or comparison on one that falls within a relative margin of
-1e-12 is undecided. A stream whose draw is undecided, rejects every
-attempt or restarts its walk, a stream whose regime fewer of the streams
-fall in than the other, and every stream at an n that is not an
-int below 2**53 or a p outside [0, 1], reads unsettled: its caller draws
-that replicate with numpy itself. Arrays keep the batch's shape; see
+or one n per stream, at one p). At one n, inversion runs ``_search`` on
+the sums ``_walk_sums`` builds for the call; at many, numpy's walk runs
+across the streams (``_walk_streams``). BTPE runs numpy's set-up and
+Steps 10-60 on ``_BTPE_ATTEMPTS`` (u, v) pairs per stream at once, and
+each stream keeps its first accepted attempt and moves past the doubles
+up to it. Only IEEE-exact operations (+ - × ÷ sqrt floor) are used, in
+numpy's order, except the logs: ``np.log`` may differ from the C
+library's log by one ulp (on 651 of 200,000 uniform doubles in (0, 1) on
+an AVX-512 machine), so a floor or comparison on one that falls within a
+relative margin of 1e-12 is undecided. A stream whose draw is undecided,
+rejects every attempt or restarts its walk, a stream in the regime fewer
+of the streams fall in, and every stream at an n that is not an int below
+2**53 or a p outside [0, 1], reads unsettled: its caller draws that
+replicate with numpy itself. Arrays keep the batch's shape; see
 ``_BLOCK`` for the few that do not.
 
-Exactness assumes numpy's C code rounds every product and sum on its own,
-as IEEE arithmetic without fused multiply-adds does. Several BTPE
-expressions have a multiply-add shape (fm = n·r + r, xm - p1·v + u,
-v·c + 1.0); a numpy build that fuses them (a compiler may, on FMA
-hardware) would round them differently, and the streams' counts would
-then differ from its own where this module reads them settled. Exactness
-is verified on x86-64 numpy wheels only; ``tests/test_streams.py`` and
-``tests/test_binomial.py`` compare both entry points with numpy bit for
-bit, so they are the check to run on any other platform or build. The
-module is private, like ``_normal``.
+Exactness assumes numpy's C code rounds every product and sum on its own.
+Several BTPE expressions have a multiply-add shape (fm = n·r + r,
+xm - p1·v + u, v·c + 1.0) that a compiler may fuse on FMA hardware,
+rounding them differently. It is verified on x86-64 numpy wheels only,
+so on any other ``platform.machine()`` (``_EXACT``) ``_binomial_draws``
+hands every batch to ``rng.binomial`` and ``_binomial_streams`` settles
+no stream. ``tests/test_streams.py`` and ``tests/test_binomial.py`` run
+the kernel itself on any machine against numpy, bit for bit, so they
+show where the gate can widen. The module is private, like ``_normal``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import platform
 
 import numpy as np
 
@@ -76,6 +76,8 @@ _MARGIN = 1e-12
 # a power of two, so u·K and the bucket edges j/K are exact
 _BUCKETS = 1024
 _INTEGERS = (int, np.integer)
+# exactness is verified on these machines' numpy builds only
+_EXACT = platform.machine() in ("x86_64", "AMD64")
 
 
 def _walk_sums(n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,14 +86,11 @@ def _walk_sums(n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = 1.0 - p
     mean = n * p
     bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = math.exp(n * math.log(q))
-    pmf = [px]
+    pmf = [math.exp(n * math.log(q))]
     for x in range(1, bound + 1):
-        px = ((n - x + 1) * p * px) / (x * q)
-        pmf.append(px)
-    pmf = np.array(pmf)
+        pmf.append(((n - x + 1) * p * pmf[-1]) / (x * q))
     cdf = np.cumsum(pmf)
-    return pmf, cdf - _MARGIN, cdf + _MARGIN
+    return np.array(pmf), cdf - _MARGIN, cdf + _MARGIN
 
 
 @functools.lru_cache(maxsize=64)
@@ -111,17 +110,11 @@ def _walk_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return pmf, low, high, guide
 
 
-def _walk(doubles, pmf: list[float]) -> tuple[int, int]:
-    """numpy's scalar inversion walk on an iterator of doubles: the count
-    and the number of doubles it took (more than one after a restart)."""
-    taken = 0
-    while True:
-        u = next(doubles)
-        taken += 1
-        for x, px in enumerate(pmf):
-            if u <= px:
-                return x, taken
-            u -= px
+def _search(u: np.ndarray, pmf: np.ndarray, low: np.ndarray, high: np.ndarray):
+    """u's positions among the lowered sums, and whether each is numpy's
+    count: the same among the raised sums, and no restart past the bound."""
+    x = low.searchsorted(u)
+    return x, (x == high.searchsorted(u)) & (x < pmf.size)
 
 
 def _inverted(n, p, size) -> bool:
@@ -138,7 +131,7 @@ def _inverted(n, p, size) -> bool:
 def _binomial_draws(rng: np.random.Generator, n, p, size):
     """``rng.binomial(n, p, size)``, with the same counts and the same
     generator state after the call (see module docs)."""
-    if not _inverted(n, p, size):
+    if not (_EXACT and isinstance(rng.bit_generator, np.random.PCG64) and _inverted(n, p, size)):
         return rng.binomial(n, p, size)
     n = int(n)
     flip = p > 0.5
@@ -147,30 +140,15 @@ def _binomial_draws(rng: np.random.Generator, n, p, size):
     x = guide.take((u * _BUCKETS).astype(np.intp)).astype(np.int64)
     rest = np.flatnonzero(x < 0)
     if rest.size:
-        x[rest] = count = low.searchsorted(u[rest])
-        unsure = rest[(count != high.searchsorted(u[rest])) | (count == pmf.size)]
-        if unsure.size:
-            _rewalk(rng, u, x, unsure, pmf.tolist())
+        x[rest], settled = _search(u[rest], pmf, low, high)
+        if np.count_nonzero(settled) < rest.size:
+            # rewind; advance takes a Python int and clears the buffered half word
+            state = rng.bit_generator.state
+            rng.bit_generator.advance(-int(size))
+            state["state"] = rng.bit_generator.state["state"]
+            rng.bit_generator.state = state
+            return rng.binomial(n, p, size)
     return n - x if flip else x
-
-
-def _rewalk(rng: np.random.Generator, u: np.ndarray, x: np.ndarray, unsure: np.ndarray,
-            pmf: list[float]) -> None:
-    """Redo, in place, the draws that the search could not settle, and
-    every draw after a restart, with numpy's walk on the same doubles."""
-    first = int(unsure[0])
-    doubles = itertools.chain(u[first:].tolist(), iter(rng.random, None))
-    unsure = set(unsure.tolist())
-    taken = first
-    for i in range(first, u.size):
-        # until a walk restarts, draw i takes double i, and a settled one stands
-        if taken == i and i not in unsure:
-            next(doubles)
-            taken += 1
-        else:
-            x[i], used = _walk(doubles, pmf)
-            taken += used
-
 
 
 # numpy's outcomes of a BTPE attempt, as codes
@@ -200,7 +178,7 @@ def _binomial_streams(streams, n, p) -> tuple[np.ndarray, np.ndarray]:
     size = streams.size
     scalar = np.ndim(n) == 0
     p = float(p)
-    if not 0.0 <= p <= 1.0 or scalar and not (
+    if not _EXACT or not 0.0 <= p <= 1.0 or scalar and not (
             isinstance(n, _INTEGERS) and not isinstance(n, bool) and 0 <= n < _STREAM_MAX_N):
         return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=bool)
     if p == 0.0 or (scalar and n == 0):
@@ -211,10 +189,7 @@ def _binomial_streams(streams, n, p) -> tuple[np.ndarray, np.ndarray]:
         # one n: every stream draws in the same regime
         n = int(n)
         if p_walk * n <= _INVERSION_MAX_MEAN:
-            pmf, low, high = _walk_sums(n, p_walk)
-            u = streams.random(1)[0]
-            x = low.searchsorted(u)
-            settled = (x == high.searchsorted(u)) & (x < pmf.size)
+            x, settled = _search(streams.random(1)[0], *_walk_sums(n, p_walk))
             taken = settled.astype(np.int64)
         else:
             x, taken = _btpe(n, p_walk, streams.random(2 * _BTPE_ATTEMPTS))
@@ -246,7 +221,10 @@ def _binomial_streams(streams, n, p) -> tuple[np.ndarray, np.ndarray]:
 def _walk_streams(n: np.ndarray, p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy's inversion walk at (n_b, p) on the double u_b, for each b: the
     counts, and whether each walk ended by its bound (a restart takes more
-    doubles, so it is left to numpy)."""
+    doubles, so it is left to numpy). A ``_search`` on one ``_walk_table``
+    per distinct n instead is faster where n repeat (B = 5000 at 32,54,24:
+    ~16 -> ~12 ms) but far slower where most streams have their own n
+    (n = 10**6, l01 = 2e-5: ~15 -> ~290-420 ms), so the walk stays."""
     q = 1.0 - p
     log_q = math.log(q)
     # the C library's exp, as numpy's; the walk itself is numpy's IEEE arithmetic

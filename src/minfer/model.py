@@ -15,11 +15,12 @@ parameter type's estimate and plug-in bounds from cells, identification
 bounds, and whether the normal approximation exists (``has_normal``).
 
 A batch of matched-data draws from one generator (``size`` given, as in
-the nested bootstrap) goes through ``_binomial``, which gives numpy's own
-binomial counts and leaves the generator as numpy would, but draws
-numpy's small-mean regime in one vectorized pass instead of one pmf walk
-per draw. ``draw_streams`` makes ``draw``'s one draw on each of many
-replicate streams at once (see ``sampling._replicate_counts``), composing
+the nested bootstrap) goes through ``_binomial``, which draws numpy's
+small-mean regime in one vectorized pass instead of one pmf walk per
+draw, and rewinds the generator for numpy to draw any batch it cannot
+place exactly: the counts and the generator's state are numpy's.
+``draw_streams`` makes ``draw``'s one draw on each of many replicate
+streams at once (see ``sampling._replicate_counts``), composing
 ``_binomial``'s draws across streams as numpy composes its own: the
 multinomial as numpy's ``random_multinomial``, the two margins one after
 the other on the same stream.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import minfer as m
+from minfer import _binomial
 
 
 @pytest.fixture
@@ -18,3 +19,11 @@ def trial_psi(trial) -> m.PsiMissing:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(scope="module")
+def exact_kernel():
+    """The vectorized binomial kernel enabled whatever the machine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_binomial, "_EXACT", True)
+        yield

@@ -5,45 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minfer as m
-from minfer import model
-from minfer._binomial import _binomial_draws, _inverted, _walk, _walk_table
+from minfer import _binomial, model, sampling
+from minfer._binomial import _binomial_draws, _inverted, _search, _walk_table
+from oracles import numpy_stream
 
 
-def numpy_inversion(doubles, n: int, p: float) -> int:
-    """numpy's ``random_binomial_inversion`` (p <= 0.5, n·p <= 30),
-    transcribed from its distributions library, on an iterator of doubles."""
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    x, px, u = 0, qn, next(doubles)
-    while u > px:
-        x += 1
-        if x > bound:
-            x, px, u = 0, qn, next(doubles)
-        else:
-            u -= px
-            px = ((n - x + 1) * p * px) / (x * q)
-    return x
-
-
-class Scripted:
-    """A stand-in generator that hands out chosen doubles, as a batch and
-    one at a time, and counts them."""
-
-    def __init__(self, doubles):
-        self.doubles = list(doubles)
-        self.taken = 0
-
-    def random(self, size=None):
-        if size is None:
-            self.taken += 1
-            return self.doubles.pop(0)
-        self.taken += size
-        block, self.doubles = self.doubles[:size], self.doubles[size:]
-        return np.array(block)
+# the kernel runs on any machine, so these tests show where the platform
+# gate can widen
+pytestmark = pytest.mark.usefixtures("exact_kernel")
 
 
 def assert_same_as_numpy(n, p, size, seed):
@@ -103,43 +76,79 @@ class TestSameAsNumpy:
         assert str(ours.value) == str(theirs.value)
 
 
-class TestExactWalk:
-    def test_walk_on_a_cumulative_sum(self):
-        # a u equal to a cumulative sum lies within the margin of it, so the
-        # search defers to the walk, whose repeated subtraction decides
-        n, p = 100, 0.29
-        pmf, low, high, _ = _walk_table(n, p)
-        cdf = np.cumsum(pmf)
-        for x in (0, 1, 5, 29, 40):
-            u = float(cdf[x])
-            assert low.searchsorted(u) != high.searchsorted(u)
-            assert _walk(iter([u]), pmf.tolist()) == (numpy_inversion(iter([u]), n, p), 1)
+@st.composite
+def inversion_edge(draw):
+    """An n up to 2·10**6 and a p whose n·min(p, 1 - p) is at most 30 or
+    just above it, on either side of 0.5."""
+    n = draw(st.integers(1, 2 * 10**6))
+    mean = draw(st.one_of(st.just(30.0), st.floats(0.0, 30.0), st.floats(30.0, 31.0)))
+    p = min(mean / n, 1.0)
+    return n, 1.0 - p if draw(st.booleans()) else p
 
-    def test_walk_restarts_past_the_bound(self):
+
+class TestProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=inversion_edge(), size=st.integers(0, 2000), seed=st.integers(0, 2**128))
+    def test_any_batch(self, case, size, seed):
+        n, p = case
+        assert_same_as_numpy(n, p, size, seed)
+
+
+class TestUnsettled:
+    def test_search_leaves_sums_and_restarts_open(self, monkeypatch):
+        # a u equal to a cumulative sum lies within the margin of it
+        pmf, low, high, _ = _walk_table(100, 0.29)
+        _, settled = _search(np.cumsum(pmf)[[0, 1, 5, 29, 40]], pmf, low, high)
+        assert not settled.any()
         # at (2, 0.3) the walk's sums stop short of the largest double below 1
-        n, p = 2, 0.3
-        pmf = _walk_table(n, p)[0].tolist()
-        u_max = 1.0 - 2.0 ** -53
-        assert _walk(iter([u_max, 0.5]), pmf) == (numpy_inversion(iter([0.5]), n, p), 2)
-        assert numpy_inversion(iter([u_max, 0.5]), n, p) == numpy_inversion(iter([0.5]), n, p)
+        u_max = np.array([1.0 - 2.0 ** -53])
+        assert not _search(u_max, *_walk_table(2, 0.3)[:3])[1].any()
+        # without a margin, a u past every sum is settled by the searches
+        # alone, but numpy's walk restarts on it
+        monkeypatch.setattr(_binomial, "_MARGIN", 0.0)
+        assert not _search(u_max, *_binomial._walk_sums(100, 0.29))[1].any()
 
-    @pytest.mark.parametrize("p", [0.3, 0.7])
-    def test_batch_with_unsure_draws_and_a_restart(self, p):
-        # draw 1 sits on a cumulative sum, draw 3 restarts and shifts every
-        # later draw by one double; the last draw takes one double past the
-        # batch, from rng.random() alone
-        n, size = 2, 6
-        p_walk = min(p, 1.0 - p)
-        cdf = np.cumsum(_walk_table(n, p_walk)[0])
-        doubles = [0.2, float(cdf[0]), 0.9, 1.0 - 2.0 ** -53, 0.05, 0.6, float(cdf[1]), 0.4, 0.99]
-        rng = Scripted(doubles)
-        got = _binomial_draws(rng, n, p, size)
-        stream = iter(doubles)
-        want = [numpy_inversion(stream, n, p_walk) for _ in range(size)]
-        if p > 0.5:
-            want = [n - x for x in want]
-        assert got.tolist() == want and got.dtype == np.int64
-        assert rng.taken == size + 1 and rng.doubles == doubles[size + 1:]
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    @pytest.mark.parametrize("p", [0.29, 0.71])
+    def test_batch_goes_to_numpy(self, p, bit_generator, monkeypatch):
+        # with a margin of 1 no double is settled, so numpy draws the batch:
+        # on PCG64 from the state before it, and on any other bit generator
+        # at once. Half a word is buffered beforehand
+        monkeypatch.setattr(_binomial, "_MARGIN", 1.0)
+        _walk_table.cache_clear()
+        try:
+            ours, theirs = (np.random.Generator(bit_generator(6)) for _ in range(2))
+            ours.random(dtype=np.float32), theirs.random(dtype=np.float32)
+            got, want = _binomial_draws(ours, 100, p, 1000), theirs.binomial(100, p, 1000)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+        finally:
+            _walk_table.cache_clear()
+
+
+class TestPlatformGate:
+    """Off the verified platforms, every count is numpy's own draw."""
+
+    def test_batches_are_numpys(self, monkeypatch):
+        monkeypatch.setattr(_binomial, "_EXACT", False)
+        _walk_table.cache_clear()
+        for p in (0.29, 0.71):
+            assert_same_as_numpy(100, p, 1000, 2)
+        assert _walk_table.cache_info().misses == 0
+
+    @pytest.mark.parametrize("psi,sizes", [
+        (m.PsiMatched(0.3, 1 / 3), (100, 120)),
+        (m.PsiMissing(32 / 110, 54 / 110, 24 / 110), 110),
+        (m.PsiMatched(0.0, 1.0), (7, 0)),
+    ])
+    def test_streams_settle_nothing(self, psi, sizes, monkeypatch):
+        monkeypatch.setattr(_binomial, "_EXACT", False)
+        streams = sampling._Streams(sampling._state_words(4, np.arange(64, dtype=np.uint64)))
+        _, settled = psi.draw_streams(streams, sizes)
+        assert not settled.any()
+        counts = sampling._replicate_counts(psi, sizes, 64, 4)
+        want = [psi.draw(numpy_stream(4, b), sizes) for b in range(64)]
+        assert np.array_equal(counts, np.array(want).T)
 
 
 class TestNestedBootstrap:

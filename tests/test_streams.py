@@ -20,6 +20,11 @@ CHUNK = sampling._CHUNK
 CATALOG = Path(__file__).resolve().parent.parent / "bench" / "goldens" / "study.json"
 
 
+# the kernel runs on any machine, so these tests show where the platform
+# gate can widen
+pytestmark = pytest.mark.usefixtures("exact_kernel")
+
+
 def numpy_counts(psi, sizes, B, seed):
     """Each replicate's cells drawn by numpy on its own stream, one row per cell."""
     return np.array([psi.draw(numpy_stream(seed, b), sizes) for b in range(B)]).T

@@ -8,13 +8,14 @@ toward it from outside; a high-assurance set grows toward it from inside.
 ``assurance_sweep`` runs the double bootstrap once and evaluates every
 requested offset h on the shared replicates:
 
-1. draw replicate table b from the observed-data law at the MLE of
-   ``data`` (one ``draw`` of the parameter type on the stream spawned
-   from (master_seed, b)) and take its MLE;
-2. compute the replicate's corroboration curve at its own MLE on the same
-   theta grid (inner method: closed-form normal curve or nested bootstrap
-   consuming the replicate's stream), and extract the interval of points
-   within h of the curve maximum, [L_b, U_b]: the set
+1. draw the B_outer replicate tables from the observed-data law at the
+   MLE of ``data`` in one batch (``sampling._replicate_counts``: table b
+   is one ``draw`` of the parameter type on the stream spawned from
+   (master_seed, b)) and take each one's MLE;
+2. compute each replicate's corroboration curve at its own MLE on the
+   same theta grid (inner method: closed-form normal curve or nested
+   bootstrap going on from the replicate's stream), and extract the
+   interval of points within h of the curve maximum, [L_b, U_b]: the set
    ``max_corroboration_set`` gives on that curve. ``corroborate`` owns
    the rule, its threshold and its tie slack; the sweep calls it for all
    h at once;
@@ -33,17 +34,21 @@ point contributes delta_b = 0; such replicates are tallied in
 every time and the tally is the honest signal of that regime.
 
 Each outer replicate draws only from its own stream, so the report does
-not depend on how replicates are scheduled. With a nested-bootstrap inner
-curve (matched data, or ``inner_method="bootstrap"``) the replicates are
-split into contiguous blocks, min(``threads``, B_outer, usable CPUs) of
-them, and each block after the first runs in a forked worker process
-while the calling process runs the first. The blocks write their own
-columns of arrays on shared anonymous memory, so nothing is sent back;
-a worker that fails has its block rerun in the calling process, which
-raises what a serial run raises. Where ``os.fork`` does not exist the
-blocks run one after another. With the normal inner curve all
-replicates run in one block, where replicates that draw the same table
-share one curve and its sets.
+not depend on how replicates are scheduled. The batch is drawn in the
+calling process, before any fork, with the state each replicate's stream
+is left at. With the normal inner curve, each distinct table's curve and
+sets are computed once and scattered to every replicate that drew it; a
+table whose curve raises ``DegenerateVariance`` sends each of its
+replicates to a nested bootstrap on its own stream (``fallback_count``).
+With a nested-bootstrap inner curve (matched data, or
+``inner_method="bootstrap"``) the replicates are split into contiguous
+blocks, min(``threads``, B_outer, usable CPUs) of them, and each block
+after the first runs in a forked worker process while the calling
+process runs the first. The blocks write their own columns of arrays on
+shared anonymous memory, so nothing is sent back; a worker that fails
+has its block rerun in the calling process, which raises what a serial
+run raises. Where ``os.fork`` does not exist the blocks run one after
+another.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .corroborate import (
 from .errors import DegenerateVariance, NoQualifyingH, ValidationError
 from .identify import ThetaInterval, ml_region
 from .model import ObservedTable, mle_psi
-from .sampling import replicate_rngs
+from .sampling import _generator, _replicate_counts
 
 DEFAULT_INNER_B = 1000
 
@@ -238,41 +243,41 @@ def assurance_sweep(
             f"[{region_hat.lower}, {region_hat.upper}]"
         )
 
-    # every block writes its own columns, so workers share these three
+    # the outer tables and the PCG64 state each replicate's stream is left at
+    counts, states = _replicate_counts(psi_hat, sizes, B_outer, master_seed)
+    # forked blocks write their own columns of these two
     lower = _shared((len(hs), B_outer), np.float64)
     upper = _shared((len(hs), B_outer), np.float64)
-    fallbacks = _shared((B_outer,), np.bool_)
     h_arr = np.asarray(hs)
 
-    def run_block(block: range) -> None:
-        # a normal inner curve depends on the replicate's counts alone, so each
-        # distinct table's sets are computed once; a bootstrap inner curve, and
-        # a DegenerateVariance fallback to one, draws from the replicate's stream
-        normal_sets: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        for b, rng in zip(block, replicate_rngs(master_seed, len(block), block.start)):
-            cells = psi_hat.draw(rng, sizes)
-            if inner_method == "normal":
-                key = tuple(int(c) for c in cells)
-                if key in normal_sets:
-                    lower[:, b], upper[:, b] = normal_sets[key]
-                    continue
-            psi_b = psi_hat.from_cells(cells, sizes)
-            values, curve_B = None, None
-            if inner_method == "normal":
-                try:
-                    values = corroboration_normal_curve(psi_b, sizes, grid).values
-                except DegenerateVariance:
-                    fallbacks[b] = True
-            if values is None:
-                lo_b, up_b = bounds_batch_from_rng(psi_b, sizes, inner_B, rng)
-                values, curve_B = coverage_share(lo_b, up_b, grid), inner_B
-            sets = _max_sets(values, grid, h_arr, _tie_epsilon(curve_B))
-            lower[:, b], upper[:, b] = sets
-            if curve_B is None:
-                normal_sets[key] = sets
+    def run_block(block: Sequence[int]) -> None:
+        # a nested-bootstrap curve goes on drawing from each replicate's stream
+        for b in block:
+            psi_b = psi_hat.from_cells(counts[:, b].tolist(), sizes)
+            rng = _generator(*states[:, b].tolist())
+            lo_b, up_b = bounds_batch_from_rng(psi_b, sizes, inner_B, rng)
+            lower[:, b], upper[:, b] = _max_sets(coverage_share(lo_b, up_b, grid), grid, h_arr,
+                                                 _tie_epsilon(inner_B))
 
-    # the normal path stays one block, where equal tables share their sets
-    _run_blocks(run_block, _blocks(B_outer, threads if inner_method == "bootstrap" else 1))
+    if inner_method == "normal":
+        # a normal curve depends on the table alone: one per distinct table,
+        # its sets scattered to every replicate that drew it
+        tables, inverse = np.unique(counts, axis=1, return_inverse=True)
+        sets = np.zeros((tables.shape[1], 2, len(hs)))
+        degenerate = np.zeros(tables.shape[1], dtype=bool)
+        for t, table in enumerate(tables.T.tolist()):
+            try:
+                curve = corroboration_normal_curve(psi_hat.from_cells(table, sizes), sizes, grid)
+            except DegenerateVariance:
+                degenerate[t] = True
+            else:
+                sets[t] = _max_sets(curve.values, grid, h_arr, _tie_epsilon(None))
+        lower[:], upper[:] = sets[inverse].transpose(1, 2, 0)
+        fallbacks = degenerate[inverse]
+        run_block(np.flatnonzero(fallbacks).tolist())
+    else:
+        fallbacks = np.zeros(B_outer, dtype=bool)
+        _run_blocks(run_block, _blocks(B_outer, threads))
 
     return [
         _report(

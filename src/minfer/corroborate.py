@@ -215,7 +215,8 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
 # typed: a bool seed or size is not served the batch of an equal int
 @functools.lru_cache(maxsize=1, typed=True)
 def _bounds_batch(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    bounds = psi.plug_in(_replicate_counts(psi, sizes, B, master_seed), sizes)
+    counts, _ = _replicate_counts(psi, sizes, B, master_seed)
+    bounds = psi.plug_in(counts, sizes)
     for bound in bounds:
         bound.flags.writeable = False
     return bounds

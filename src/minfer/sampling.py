@@ -6,31 +6,26 @@ dedicated stream: the generator numpy's ``default_rng`` builds from
 are statistically independent and identical keys reproduce identical
 draws, so a result depends only on its arguments and master seed.
 
-Batches are seeded by SeedSequence's hash run here: the master seed is
-hashed once, and the spawn word b is mixed into the pool for all
-replicates of a batch in one vectorized pass, giving one row of four
-uint64 words per replicate. Two routines use those words:
+Batches are seeded by SeedSequence's hash run here, numpy's bit for bit:
+the master seed is hashed once, and the spawn word b is mixed into the
+pool for all replicates of a batch in one vectorized pass, giving one row
+of four uint64 words per replicate. A single key (a lone
+``ReplicateStream``, ``derive_seed``) is hashed by numpy's SeedSequence
+itself, which is cheaper for one key than the hash in Python; every path
+checks the seed and key first, so a bad one is a ValidationError.
 
-* ``_replicate_counts`` draws every replicate's table of a bootstrap batch
-  at once. ``_Streams`` seeds numpy's PCG64 (O'Neill 2014) from each row
-  as ``pcg64_set_seed`` does and steps all the states together on uint64
-  arrays, and ``draw_streams`` on the parameter type (see ``model`` and
-  ``_binomial``) makes numpy's binomial or multinomial draw on every
-  stream. The few replicates that pass cannot settle exactly are drawn by
-  numpy itself, on their own generators. Streams are stepped in chunks of
-  ``_CHUNK``, so a batch's working memory does not grow with B.
-* ``replicate_rngs`` yields each replicate's generator, built straight
-  from its words as ``Generator(PCG64(_SeedWords(...)))``, for callers
-  whose replicate goes on drawing from its stream (the assurance outer
-  loop). ``_SeedWords`` hands PCG64 the precomputed words and otherwise
-  stands in for the replicate's SeedSequence (its ``entropy``,
-  ``spawn_key`` and ``spawn``).
-
-Both agree with numpy's SeedSequence, the test oracle, bit for bit. A
-single key (a lone ``ReplicateStream``, ``derive_seed``) is hashed by
-numpy's SeedSequence itself, which is cheaper for one key than the hash
-in Python; every path checks the seed and key first, so a bad one is a
-ValidationError.
+``_replicate_counts`` is the one routine that draws replicate tables.
+``_Streams`` seeds numpy's PCG64 (O'Neill 2014) from each row as
+``pcg64_set_seed`` does and steps all the states together on uint64
+arrays, and ``draw_streams`` on the parameter type (see ``model`` and
+``_binomial``) makes numpy's binomial or multinomial draw on every
+stream. The few replicates that pass cannot settle exactly are drawn by
+numpy on generators seeded with their words (``_Seed``). Streams are
+stepped in chunks of ``_CHUNK``, so a batch's working memory does not
+grow with B. With the counts come the replicates' PCG64 states after
+their draws, and ``_generator`` gives numpy's generator at one of them,
+for a replicate that goes on drawing (the assurance sweep's nested
+bootstrap).
 
 The counts of a replicate table come from one routine per setting,
 ``draw`` on the parameter type (see ``model``); ``draw_observed`` wraps
@@ -41,10 +36,9 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
 from .model import SIMPLEX_TOL, ObservedTable, Psi, PsiMatched, PsiMissing
@@ -186,7 +180,8 @@ def _state_words(master_seed: int, replicates: np.ndarray) -> np.ndarray:
 # uint64 halves, only lo·M_lo needs its high word, from 32-bit limbs of M_lo.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI = np.uint64(_PCG_MULT >> 64)
-_MULT_LO = np.uint64(_PCG_MULT & (1 << 64) - 1)
+_MASK64 = (1 << 64) - 1
+_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
 _MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
 _MULT_LO1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
 _LOW32 = np.uint64(_MASK32)
@@ -272,35 +267,30 @@ class _Streams:
         self.lo = np.where(moved, self._trail[1][step, columns], self.lo)
 
 
-class _SeedWords(ISpawnableSeedSequence):
-    """``SeedSequence(entropy, spawn_key=spawn_key)`` with its
-    ``generate_state(4, np.uint64)`` output precomputed, handed to PCG64
-    through numpy's seeding protocol. Any other request, and ``spawn``, go
-    to the SeedSequence itself, so a stream's generator spawns children as
-    numpy's own would."""
+class _Seed(ISeedSequence):
+    """Seed words handed to PCG64 as a seed sequence's
+    ``generate_state(4, np.uint64)``."""
 
-    def __init__(self, words: np.ndarray, entropy: int, spawn_key: tuple[int, ...]) -> None:
+    def __init__(self, words: np.ndarray) -> None:
         self.words = words
-        self.entropy = entropy
-        self.spawn_key = spawn_key
-        self.n_children_spawned = 0
-
-    def _sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(
-            self.entropy, spawn_key=self.spawn_key, n_children_spawned=self.n_children_spawned
-        )
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # PCG64 asks for exactly the precomputed words
-        if n_words == _POOL_SIZE and dtype is np.uint64:
-            return self.words
-        return self._sequence().generate_state(n_words, dtype)
+        return self.words
 
-    def spawn(self, n_children: int) -> list[np.random.SeedSequence]:
-        sequence = self._sequence()
-        children = sequence.spawn(n_children)
-        self.n_children_spawned = sequence.n_children_spawned
-        return children
+
+# pcg64_set_seed sets inc = 2·words[2:4] + 1 and reaches state (seed + inc)·M +
+# inc from seed = words[0:2], so seed = (state - inc)·M⁻¹ - inc mod 2**128
+_MULT_INVERSE = pow(_PCG_MULT, -1, 1 << 128)
+
+
+def _generator(hi: int, lo: int, inc_hi: int, inc_lo: int) -> np.random.Generator:
+    """numpy's generator at PCG64 state hi·2**64 + lo with the odd increment
+    inc_hi·2**64 + inc_lo, seeded with the words that reach that state:
+    cheaper than setting ``bit_generator.state`` on a new PCG64."""
+    inc = int(inc_hi) << 64 | int(inc_lo)
+    seed = ((int(hi) << 64 | int(lo)) - inc) * _MULT_INVERSE - inc
+    words = [seed >> 64 & _MASK64, seed & _MASK64, inc >> 65, inc >> 1 & _MASK64]
+    return np.random.Generator(np.random.PCG64(_Seed(np.array(words, dtype=np.uint64))))
 
 
 @dataclass(frozen=True)
@@ -317,45 +307,34 @@ class ReplicateStream:
         return np.random.Generator(np.random.PCG64(seed_sequence))
 
 
-def _first_index(start: int, B: int) -> int:
-    """``start`` as an int, if replicates start..start+B-1 all lie below
-    2**32 (one spawn word), else ValidationError."""
-    start = _nonnegative_int(start, "first replicate index")
-    if start + B > 1 << 32:
-        raise ValidationError(f"replicate indices {start}..{start + B - 1} must lie below 2**32")
-    return start
-
-
-def replicate_rngs(master_seed: int, B: int, start: int = 0) -> Iterator[np.random.Generator]:
-    """Generators of replicates start..start+B-1, built one at a time as the
-    iterator is consumed; replicate b's draws as
-    ``ReplicateStream(master_seed, b).rng()`` does.
-
-    The master seed and start are checked here: integers >= 0 with every
-    index below 2**32 (one spawn word), else ValidationError.
-    """
-    start = _first_index(start, B)
-    states = _state_words(master_seed, np.arange(start, start + B, dtype=np.uint64))
-    return (np.random.Generator(np.random.PCG64(_SeedWords(state, master_seed, (b,))))
-            for b, state in zip(range(start, start + B), states))
-
-
-def _replicate_counts(psi: Psi, sizes: int | tuple[int, int], B: int, master_seed: int) -> np.ndarray:
-    """Cells of replicates 0..B-1 drawn at psi, one row per cell: replicate
-    b's are ``psi.draw(ReplicateStream(master_seed, b).rng(), sizes)``, bit
-    for bit (see module docs)."""
-    _first_index(0, B)
+def _replicate_counts(psi: Psi, sizes: int | tuple[int, int], B: int,
+                      master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of replicates 0..B-1 drawn at psi, one row per cell, and each
+    replicate's PCG64 state after its draw, rows ``hi, lo, inc_hi,
+    inc_lo`` (uint64): replicate b's cells are ``psi.draw(rng, sizes)`` on
+    ``rng = ReplicateStream(master_seed, b).rng()``, bit for bit, and
+    ``_generator(*states[:, b])`` is that rng after the draw (see module
+    docs). Every index must lie below 2**32 (one spawn word)."""
+    if B > 1 << 32:
+        raise ValidationError(f"replicate indices 0..{B - 1} must lie below 2**32")
     counts = None
+    states = np.empty((4, B), dtype=np.uint64)
     for start in range(0, B, _CHUNK):
         words = _state_words(master_seed, np.arange(start, min(start + _CHUNK, B), dtype=np.uint64))
-        cells, settled = psi.draw_streams(_Streams(words), sizes)
+        streams = _Streams(words)
+        cells, settled = psi.draw_streams(streams, sizes)
         if counts is None:
             counts = np.empty((len(cells), B), dtype=np.int64)
-        counts[:, start:start + len(words)] = cells
+        stop = start + len(words)
+        counts[:, start:stop] = cells
+        states[:, start:stop] = streams.hi, streams.lo, streams.inc_hi, streams.inc_lo
         for b in np.flatnonzero(~settled).tolist():
-            rng = np.random.Generator(np.random.PCG64(_SeedWords(words[b], master_seed, (start + b,))))
+            rng = np.random.Generator(np.random.PCG64(_Seed(words[b])))
             counts[:, start + b] = psi.draw(rng, sizes)
-    return counts
+            state = rng.bit_generator.state["state"]
+            states[:, start + b] = (state["state"] >> 64, state["state"] & _MASK64,
+                                    state["inc"] >> 64, state["inc"] & _MASK64)
+    return counts, states
 
 
 def derive_seed(master_seed: int, *key: int) -> int:

@@ -20,9 +20,11 @@ the form the library used before its numpy kernel; it checks the
 kernel's Phi and Genz quadrature to ~1e-15 wherever rho stays away
 from 1.
 
-``numpy_stream`` is numpy's own per-replicate stream, the oracle for the
-library's seeding (``minfer.sampling.replicate_rngs``, which hashes the
-seed itself): ``default_rng(SeedSequence(seed, spawn_key=(b,)))``.
+``numpy_stream`` is numpy's own per-replicate stream,
+``default_rng(SeedSequence(seed, spawn_key=(b,)))``: the oracle for the
+library's batch draw (``minfer.sampling._replicate_counts``, which hashes
+the seeds itself and steps every replicate's PCG64 at once), for the
+counts it draws and for the generator state it hands on to a replicate.
 """
 
 import math

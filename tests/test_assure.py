@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import minfer as m
-from minfer import assure
+from minfer import _binomial, assure
 from minfer.corroborate import bounds_batch_from_rng, coverage_share
-from minfer.sampling import replicate_rngs
+from oracles import numpy_stream
 
 COARSE_GRID = np.linspace(0.0, 1.0, 201)
 
@@ -72,7 +72,7 @@ class TestStructure:
         def no_draws(*args, **kwargs):
             raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(assure, "replicate_rngs", no_draws)
+        monkeypatch.setattr(assure, "_replicate_counts", no_draws)
         with pytest.raises(m.ValidationError, match="strictly increasing within"):
             m.assurance_sweep(data, [0.0, 0.1], B_outer=20, inner_method=inner,
                               inner_B=50, grid=np.array(grid))
@@ -120,6 +120,14 @@ class TestSweep:
 MATCHED = m.MatchedTable(30, 100, 40, 120)
 
 
+def _drawn_state(data, master_seed, b):
+    """Replicate b's generator state after its outer table is drawn, as
+    numpy's own stream gives it: the state its nested bootstrap starts at."""
+    rng = numpy_stream(master_seed, b)
+    m.mle_psi(data).draw(rng, data.sizes)
+    return rng.bit_generator.state
+
+
 @pytest.fixture
 def four_cpus(monkeypatch):
     """Let the sweep see four usable CPUs and record the block count of
@@ -158,7 +166,8 @@ class TestWorkerBlocks:
         kwargs = dict(B_outer=40, master_seed=14, grid=COARSE_GRID)
         serial = m.assurance_sweep(trial, [0.0, 0.05], threads=1, **kwargs)
         assert m.assurance_sweep(trial, [0.0, 0.05], threads=4, **kwargs) == serial
-        assert four_cpus == [1, 1]
+        # no blocks at all: the normal path runs in the calling process
+        assert four_cpus == []
 
     def test_select_h_equals_serial(self, four_cpus):
         kwargs = dict(candidates=[0.0, 0.01, 0.06, 0.4], B_outer=30, inner_B=200,
@@ -189,9 +198,10 @@ class TestWorkerBlocks:
             pass
 
         draw = assure.bounds_batch_from_rng
+        target = _drawn_state(MATCHED, 16, failing)
 
         def failing_draw(psi, sizes, B, rng):
-            if rng.bit_generator.seed_seq.spawn_key == (failing,):
+            if rng.bit_generator.state == target:
                 raise Boom(failing)
             return draw(psi, sizes, B, rng)
 
@@ -247,9 +257,10 @@ class TestWorkerProcesses:
             pass
 
         draw = assure.bounds_batch_from_rng
+        target = _drawn_state(MATCHED, 16, failing)
 
         def failing_draw(psi, sizes, B, rng):
-            if rng.bit_generator.seed_seq.spawn_key == (failing,):
+            if rng.bit_generator.state == target:
                 raise Boom(failing)
             return draw(psi, sizes, B, rng)
 
@@ -323,21 +334,22 @@ class TestBlockPartition:
 
 def _unshared_sweep(data, hs, B_outer, inner_B, master_seed, inner_method="normal"):
     """(tau_hat, L_bar, U_bar, singleton_count) per h, the fallback count and
-    the number of distinct tables with a normal curve, every outer replicate
-    on its own inner ``CorroborationCurve`` and its sets from
-    ``max_corroboration_set``: the sweep without sharing between replicates
-    that draw the same table."""
+    the number of distinct tables tried on a normal curve, every outer
+    replicate drawn on numpy's own stream, on its own inner
+    ``CorroborationCurve`` and its sets from ``max_corroboration_set``: the
+    sweep without sharing between replicates that draw the same table."""
     psi_hat, sizes, grid = m.mle_psi(data), data.sizes, m.default_grid()
     region = m.ml_region(data)
     sets, fallbacks, normal_tables = [], 0, set()
-    for rng in replicate_rngs(master_seed, B_outer):
+    for b in range(B_outer):
+        rng = numpy_stream(master_seed, b)
         cells = psi_hat.draw(rng, sizes)
         psi_b = psi_hat.from_cells(cells, sizes)
         curve = None
         if inner_method == "normal":
+            normal_tables.add(tuple(np.ravel(cells).tolist()))
             try:
                 curve = m.corroboration_normal_curve(psi_b, sizes, grid)
-                normal_tables.add(tuple(cells))
             except m.DegenerateVariance:
                 fallbacks += 1
         if curve is None:
@@ -377,8 +389,30 @@ class TestNormalCurveSharing:
         reports = m.assurance_sweep(data, hs, B_outer=300, inner_B=50, master_seed=4)
         assert _rows(reports) == expected
         assert reports[0].fallback_count == fallbacks
-        # one curve per distinct table; a degenerate table is tried each time
-        assert len(calls) == distinct + fallbacks < 300
+        # one attempt per distinct table, a degenerate one included
+        assert len(calls) == distinct < 300
+
+
+class TestAgainstUnsharedSweep:
+    """Reports at threads 1-3 against the unshared sweep on numpy's streams:
+    fallback-heavy, large and zero-margin tables, with the binomial kernel
+    on and off."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["kernel", "numpy"])
+    @pytest.mark.parametrize("data", [
+        m.MissingTable(3, 40, 1), m.MissingTable(1, 5, 4), m.MissingTable(1425, 0, 1935),
+        MATCHED, m.MatchedTable(0, 30, 12, 40),
+    ], ids=["3,40,1", "1,5,4", "1425,0,1935", "matched", "matched_zero_margin"])
+    def test_same_reports(self, data, exact, monkeypatch, four_cpus):
+        monkeypatch.setattr(_binomial, "_EXACT", exact)
+        hs = [0.0, 0.01, 0.3]
+        inner = "bootstrap" if isinstance(data, m.MatchedTable) else "normal"
+        expected, fallbacks, _ = _unshared_sweep(data, hs, 60, 100, 21, inner)
+        for threads in (1, 2, 3):
+            reports = m.assurance_sweep(data, hs, B_outer=60, inner_B=100, master_seed=21,
+                                        threads=threads)
+            assert _rows(reports) == expected
+            assert reports[0].fallback_count == fallbacks
 
 
 class TestNestedBootstrapSets:

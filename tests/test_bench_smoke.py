@@ -1,9 +1,10 @@
 """The benchmark's workloads run briefly and report a checked result.
 
 A traced or untraced ``bench/run.py`` run can exit 0 while its last stdout
-line is not a result; this runs the short CLI workload and the library
-study both ways, and the one workload whose sweep forks worker processes
-untraced, and reads the detail line and the result line.
+line is not a result; this runs the short CLI workload, the library study
+and the missing-data assurance sweep both ways, and the one workload
+whose sweep forks worker processes untraced, and reads the detail line
+and the result line.
 """
 
 import json
@@ -60,6 +61,13 @@ def test_library_study_reports_a_correct_result(trace):
     # in-process library calls, whose bootstrap batches draw every
     # replicate stream at once
     _run("library_study", trace)
+
+
+@needs_bench
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_assure_missing_reports_a_correct_result(trace):
+    # one normal curve per distinct outer table of the batch draw
+    _run("assure_missing", trace)
 
 
 @needs_bench

@@ -146,7 +146,7 @@ class TestPlatformGate:
         streams = sampling._Streams(sampling._state_words(4, np.arange(64, dtype=np.uint64)))
         _, settled = psi.draw_streams(streams, sizes)
         assert not settled.any()
-        counts = sampling._replicate_counts(psi, sizes, 64, 4)
+        counts, _ = sampling._replicate_counts(psi, sizes, 64, 4)
         want = [psi.draw(numpy_stream(4, b), sizes) for b in range(64)]
         assert np.array_equal(counts, np.array(want).T)
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 from collections import Counter
 
@@ -9,9 +8,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import minfer as m
-from minfer import corroborate
+from minfer import _binomial, corroborate
 from minfer.corroborate import bounds_batch_from_rng, bounds_batch_streams
-from minfer.sampling import replicate_rngs
+from minfer.sampling import _CHUNK, _generator, _replicate_counts, _state_words, _Streams
 from oracles import numpy_stream
 
 
@@ -175,18 +174,24 @@ ORACLE_SEEDS = [
 ]
 
 
+def _numpy_words(seed: int, b: int) -> list[int]:
+    return np.random.SeedSequence(seed, spawn_key=(b,)).generate_state(4, np.uint64).tolist()
+
+
 class TestSeedingOracle:
     """The library hashes batches of seeds itself; numpy's SeedSequence is the oracle."""
 
     @pytest.mark.parametrize("B", [1, 5000])
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_replicate_rngs_match_numpy(self, seed, B):
-        checked = 0
-        for b, rng in enumerate(replicate_rngs(seed, B)):
-            if b in (0, 1, B - 1):
-                _same_stream(rng, numpy_stream(seed, b))
-                checked += 1
-        assert b == B - 1 and checked == min(B, 3)
+        # each replicate's seed words, and its generator at the state they seed
+        words = _state_words(seed, np.arange(B, dtype=np.uint64))
+        streams = _Streams(words)
+        assert words.shape == (B, 4)
+        for b in sorted({0, 1, B - 1} & set(range(B))):
+            assert words[b].tolist() == _numpy_words(seed, b)
+            state = streams.hi[b], streams.lo[b], streams.inc_hi[b], streams.inc_lo[b]
+            _same_stream(_generator(*state), numpy_stream(seed, b))
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_replicate_stream_matches_numpy(self, seed):
@@ -201,50 +206,88 @@ class TestSeedingOracle:
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**130 + 12345])
     def test_streams_spawn_as_numpy_streams_do(self, seed):
-        batched = next(itertools.islice(replicate_rngs(seed, 3), 2, None))
-        for rng in (m.ReplicateStream(seed, 2).rng(), batched):
-            oracle = numpy_stream(seed, 2)
-            for _ in range(2):  # a second spawn continues the children's keys
-                for child, child_oracle in zip(rng.spawn(2), oracle.spawn(2)):
-                    _same_stream(child, child_oracle)
-            _same_stream(rng, oracle)
-            seq, oracle_seq = rng.bit_generator.seed_seq, oracle.bit_generator.seed_seq
-            assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == (
-                oracle_seq.entropy, oracle_seq.spawn_key, oracle_seq.n_children_spawned
-            )
-            assert seq.generate_state(3).tolist() == oracle_seq.generate_state(3).tolist()
-
-    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    def test_replicate_rngs_from_a_start(self, seed):
-        for start in (1, 7, 2500, 2**32 - 3):
-            for b, rng in zip(range(start, start + 3), replicate_rngs(seed, 3, start)):
-                _same_stream(rng, numpy_stream(seed, b))
+        rng, oracle = m.ReplicateStream(seed, 2).rng(), numpy_stream(seed, 2)
+        for _ in range(2):  # a second spawn continues the children's keys
+            for child, child_oracle in zip(rng.spawn(2), oracle.spawn(2)):
+                _same_stream(child, child_oracle)
+        _same_stream(rng, oracle)
+        seq, oracle_seq = rng.bit_generator.seed_seq, oracle.bit_generator.seed_seq
+        assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == (
+            oracle_seq.entropy, oracle_seq.spawn_key, oracle_seq.n_children_spawned
+        )
+        assert seq.generate_state(3).tolist() == oracle_seq.generate_state(3).tolist()
 
     def test_bad_start_rejected(self):
-        for start in (-1, 1.5, True):
-            with pytest.raises(m.ValidationError, match="first replicate index"):
-                replicate_rngs(0, 3, start)
-        # every index must fit one 32-bit spawn word
-        with pytest.raises(m.ValidationError, match="2\\*\\*32"):
-            replicate_rngs(0, 3, 2**32 - 2)
+        # every index of a batch must fit one 32-bit spawn word
+        with pytest.raises(m.ValidationError, match="0..4294967296 must lie below 2\\*\\*32"):
+            _replicate_counts(m.PsiMissing(0.3, 0.5, 0.2), 10, 2**32 + 1, 0)
 
     def test_numpy_integer_seed(self):
-        for b, rng in enumerate(replicate_rngs(np.uint64(2**64 - 1), 3)):
-            _same_stream(rng, numpy_stream(2**64 - 1, b))
+        seed, psi = np.uint64(2**64 - 1), m.PsiMissing(0.3, 0.5, 0.2)
+        words = _state_words(seed, np.arange(3, dtype=np.uint64))
+        counts, states = _replicate_counts(psi, 10, 3, seed)
+        for b in range(3):
+            assert words[b].tolist() == _numpy_words(2**64 - 1, b)
+            oracle = numpy_stream(2**64 - 1, b)
+            assert counts[:, b].tolist() == psi.draw(oracle, 10).tolist()
+            _same_stream(_generator(*states[:, b]), oracle)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**160 - 1), b=st.integers(0, 10**4 - 1))
+    @given(seed=st.integers(0, 2**160 - 1), b=st.integers(0, 2**32 - 1))
     def test_any_seed_and_index(self, seed, b):
         _same_stream(m.ReplicateStream(seed, b).rng(), numpy_stream(seed, b))
-        rng = next(itertools.islice(replicate_rngs(seed, b + 1), b, None))
-        _same_stream(rng, numpy_stream(seed, b))
+        assert _state_words(seed, np.array([b], dtype=np.uint64))[0].tolist() == _numpy_words(seed, b)
+
+
+# outer tables as the assurance sweep draws them: at the MLE of a table of
+# either setting, zero cells and zero margins included
+TABLES = (
+    st.tuples(st.integers(0, 300), st.integers(0, 300), st.integers(0, 300))
+    .filter(lambda cells: sum(cells) > 0)
+    .map(lambda cells: m.MissingTable(*cells))
+    | st.tuples(st.integers(1, 400), st.integers(1, 400))
+    .flatmap(lambda n: st.tuples(st.integers(0, n[0]), st.just(n[0]),
+                                 st.integers(0, n[1]), st.just(n[1])))
+    .map(lambda cells: m.MatchedTable(*cells))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=TABLES, seed=st.integers(0, 2**160 - 1),
+       B=st.sampled_from([1, 7, 60, _CHUNK + 3]))
+def _hand_off_property(data, seed, B):
+    psi, sizes = m.mle_psi(data), data.sizes
+    counts, states = _replicate_counts(psi, sizes, B, seed)
+    for b in range(B):
+        oracle = numpy_stream(seed, b)
+        assert counts[:, b].tolist() == np.ravel(psi.draw(oracle, sizes)).tolist()
+        rng = _generator(*states[:, b])
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.random(3).tolist() == oracle.random(3).tolist()
+        assert rng.binomial(100, 0.29, 50).tolist() == oracle.binomial(100, 0.29, 50).tolist()
+
+
+class TestHandOff:
+    """A replicate's generator, built from the state ``_replicate_counts``
+    hands back, is numpy's own generator after the replicate's draw."""
+
+    def test_settled_and_numpy_drawn_replicates(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_binomial, "_EXACT", True)
+            _hand_off_property()
+
+    def test_every_replicate_read_back(self):
+        # the kernel settles nothing, so each state is read back from numpy
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_binomial, "_EXACT", False)
+            _hand_off_property()
 
 
 class TestMasterSeedValidation:
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", True, None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(m.ValidationError, match="master seed"):
-            replicate_rngs(seed, 5)
+            _replicate_counts(m.PsiMissing(0.3, 0.5, 0.2), 10, 5, seed)
         with pytest.raises(m.ValidationError, match="master seed"):
             m.ReplicateStream(seed, 0).rng()
         with pytest.raises(m.ValidationError, match="master seed"):
@@ -361,10 +404,10 @@ class TestGoodnessOfFit:
     REPS = 100_000
 
     def _observed_law(self, psi, sizes, seed: int) -> Counter:
-        # replicate b's table from psi.draw on the batch's generator b, the
-        # stream draw_observed uses: checked on the first 1,000 replicates
-        draws = [tuple(int(c) for c in psi.draw(rng, sizes))
-                 for rng in replicate_rngs(seed, self.REPS)]
+        # replicate b's table from the batch draw, the one psi.draw makes on
+        # the stream draw_observed uses: checked on the first 1,000 replicates
+        counts, _ = _replicate_counts(psi, sizes, self.REPS, seed)
+        draws = [tuple(cells) for cells in counts.T.tolist()]
         for b, cells in enumerate(draws[:1000]):
             assert m.draw_observed(psi, sizes, m.ReplicateStream(seed, b)).cells == cells
         return Counter(draws)

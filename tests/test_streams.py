@@ -31,7 +31,7 @@ def numpy_counts(psi, sizes, B, seed):
 
 
 def assert_numpy_counts(psi, sizes, B, seed):
-    got = _replicate_counts(psi, sizes, B, seed)
+    got, _ = _replicate_counts(psi, sizes, B, seed)
     assert got.dtype == np.int64
     assert np.array_equal(got, numpy_counts(psi, sizes, B, seed)), (psi, sizes, B, seed)
 

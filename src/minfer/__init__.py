@@ -6,7 +6,7 @@ missingness, and two binary variables observed in separate samples
 (statistical matching). For both it provides identification bounds,
 profile likelihoods (missing data), corroboration curves with their level
 sets, high-assurance estimation of the identification region, and the
-corroboration test, plus seeded simulation of either observed-data law.
+corroboration test; every Monte Carlo estimate is seeded and reproducible.
 
 Start-up: when this package imports numpy itself (numpy not yet imported,
 ``OPENBLAS_THREAD_TIMEOUT`` not set by the caller), it sets that variable
@@ -80,7 +80,7 @@ from .model import (
     mle_psi,
     validate,
 )
-from .sampling import ReplicateStream, SimTruth, derive_seed, draw_complete, draw_observed
+from .sampling import ReplicateStream
 
 __version__ = "0.1.0"
 
@@ -104,7 +104,6 @@ __all__ = [
     "PsiMatched",
     "PsiMissing",
     "ReplicateStream",
-    "SimTruth",
     "TestResult",
     "ThetaInterval",
     "ThetaOutOfDomain",
@@ -118,9 +117,6 @@ __all__ = [
     "corroboration_normal_curve",
     "corroboration_test",
     "default_grid",
-    "derive_seed",
-    "draw_complete",
-    "draw_observed",
     "level_set",
     "max_corroboration_set",
     "mcar_curve",

@@ -27,8 +27,10 @@ Two estimators are provided:
   double precision. No Owen's T function and no scipy is involved.
 
 ``corroboration_curve`` is the one method dispatch, for the CLI and the
-corroboration test (``ctest``); the assurance sweep's inner curve keeps
-its own, since its nested bootstrap draws from the replicate's generator.
+corroboration test (``ctest``); it checks B and the master seed whatever
+the method, so a bad one is an error on the normal curve too. The
+assurance sweep's inner curve keeps its own dispatch, since its nested
+bootstrap draws from the replicate's generator.
 
 ``bounds_batch_streams`` keeps its last batch: the bounds of the most
 recent (psi, sizes, B, master_seed), two read-only arrays (16·B bytes),
@@ -64,7 +66,7 @@ from ._normal import _bvn_cover, _ndtr_pair
 from .errors import DegenerateVariance, EmptyLevelSet, ValidationError
 from .identify import ThetaInterval, theta_interval
 from .model import Psi, PsiMissing
-from .sampling import _replicate_counts
+from .sampling import _nonnegative_int, _replicate_counts
 
 GRID_STEP = 0.001
 NORMAL_TIE_EPS = 1e-9
@@ -322,9 +324,10 @@ def corroboration_curve(
 ) -> CorroborationCurve:
     """Corroboration curve at psi by ``method`` or the setting's default
     (``corroboration_method``): the normal curve, or the bootstrap of B
-    replicates spawned from ``master_seed``. B is checked whatever the
-    method, so a bad count is an error on the normal curve too."""
+    replicates spawned from ``master_seed``. B and the seed are checked
+    whatever the method (see module docs)."""
     B = _check_count(B, "replicate count B")
+    _nonnegative_int(master_seed, "master seed")
     if corroboration_method(psi, method) == "normal":
         return corroboration_normal_curve(psi, sizes, grid)
     return corroboration_bootstrap(psi, sizes, grid, B=B, master_seed=master_seed)

@@ -17,6 +17,12 @@ Every observed corroboration is read from one curve on the distinct
 theta_stars (``corroborate.corroboration_curve``). A normal value may
 differ from the one-point ``corroboration_normal`` in the last bit: Genz's
 quadrature sums by a dot product there, by a matrix-vector product here.
+
+The consistency check draws one replicate batch per schedule entry, after
+checking every entry. Batch i is seeded with numpy's
+``SeedSequence(master_seed, spawn_key=(i,)).generate_state(1,
+np.uint64)[0]``; all of these seeds come from one batched hash
+(``sampling._state_words``).
 """
 
 from __future__ import annotations
@@ -32,10 +38,10 @@ from .corroborate import (
     corroboration_curve,
     corroboration_method,
 )
-from .errors import BoundaryTheta, ThetaOutOfDomain, ValidationError
+from .errors import BoundaryTheta, ThetaOutOfDomain
 from .identify import ml_region, theta_interval
 from .model import ObservedTable, Psi, mle_psi
-from .sampling import derive_seed
+from .sampling import _state_words
 
 QUADRANT_HA = "support H_A"
 QUADRANT_HB = "support H_B"
@@ -144,12 +150,11 @@ def chernoff_consistency_check(
         raise BoundaryTheta(
             f"theta_star = {theta_star} sits exactly on an identification bound"
         )
+    schedule = [_check_count(n, "schedule entry n") for n in n_schedule]
+    seeds = _state_words(master_seed, np.arange(len(schedule), dtype=np.uint64))[:, 0]
     rates = []
-    for i, n in enumerate(n_schedule):
-        n = int(n)
-        if n < 1:
-            raise ValidationError(f"schedule entry n = {n} must be at least 1")
-        lo, up = bounds_batch_streams(psi0, psi0.sizes_for(n), reps, derive_seed(master_seed, i))
+    for n, seed in zip(schedule, seeds.tolist()):
+        lo, up = bounds_batch_streams(psi0, psi0.sizes_for(n), reps, seed)
         rejected = ~((lo <= theta_star) & (theta_star <= up))
         rates.append((n, float(np.count_nonzero(rejected) / reps)))
     return rates

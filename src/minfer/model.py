@@ -132,10 +132,6 @@ class PsiMissing:
         return 0.5 if upper < 1.0 else None
 
     @staticmethod
-    def table(cells, n: int) -> MissingTable:
-        return MissingTable(*cells)
-
-    @staticmethod
     def sizes_for(n: int) -> int:
         return n
 
@@ -191,11 +187,6 @@ class PsiMatched:
         if theta == lower:
             return 0.5 if self.l1p + self.lp1 >= 1.0 else 1.0
         return 0.5 if self.l1p != self.lp1 else 0.25
-
-    @staticmethod
-    def table(cells, sizes: tuple[int, int]) -> MatchedTable:
-        (nx, ny), (n1, n2) = cells, sizes
-        return MatchedTable(nx, n1, ny, n2)
 
     @staticmethod
     def sizes_for(n: int) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Seeded random generation of observed and complete tables.
+"""Seeded random draws of observed replicate tables.
 
 Every Monte Carlo routine in this package draws replicate b from a
 dedicated stream: the generator numpy's ``default_rng`` builds from
@@ -9,27 +9,26 @@ draws, so a result depends only on its arguments and master seed.
 Batches are seeded by SeedSequence's hash run here, numpy's bit for bit:
 the master seed is hashed once, and the spawn word b is mixed into the
 pool for all replicates of a batch in one vectorized pass, giving one row
-of four uint64 words per replicate. A single key (a lone
-``ReplicateStream``, ``derive_seed``) is hashed by numpy's SeedSequence
-itself, which is cheaper for one key than the hash in Python; every path
-checks the seed and key first, so a bad one is a ValidationError.
+of four uint64 words per replicate (``_state_words``). The first word of
+row i is numpy's ``SeedSequence(master_seed,
+spawn_key=(i,)).generate_state(1, np.uint64)[0]``, the 64-bit child seed
+the consistency check in ``ctest`` gives each sample size. A lone
+``ReplicateStream`` is hashed by numpy's SeedSequence itself, which is
+cheaper for one key than the hash in Python; both paths check the seed
+and key first, so a bad one is a ValidationError.
 
 ``_replicate_counts`` is the one routine that draws replicate tables.
 ``_Streams`` seeds numpy's PCG64 (O'Neill 2014) from each row as
 ``pcg64_set_seed`` does and steps all the states together on uint64
 arrays, and ``draw_streams`` on the parameter type (see ``model`` and
 ``_binomial``) makes numpy's binomial or multinomial draw on every
-stream. The few replicates that pass cannot settle exactly are drawn by
-numpy on generators seeded with their words (``_Seed``). Streams are
-stepped in chunks of ``_CHUNK``, so a batch's working memory does not
-grow with B. With the counts come the replicates' PCG64 states after
-their draws, and ``_generator`` gives numpy's generator at one of them,
-for a replicate that goes on drawing (the assurance sweep's nested
-bootstrap).
-
-The counts of a replicate table come from one routine per setting,
-``draw`` on the parameter type (see ``model``); ``draw_observed`` wraps
-one such draw on a replicate's stream into a validated table.
+stream, the draw ``draw`` on the parameter type makes on one generator.
+The few replicates that pass cannot settle exactly are drawn by numpy on
+generators seeded with their words (``_Seed``). Streams are stepped in
+chunks of ``_CHUNK``, so a batch's working memory does not grow with B.
+With the counts come the replicates' PCG64 states after their draws, and
+``_generator`` gives numpy's generator at one of them, for a replicate
+that goes on drawing (the assurance sweep's nested bootstrap).
 """
 
 from __future__ import annotations
@@ -41,42 +40,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
-from .model import SIMPLEX_TOL, ObservedTable, Psi, PsiMatched, PsiMissing
-
-
-@dataclass(frozen=True)
-class SimTruth:
-    """Complete-data cell probabilities (l11, l10, l01, l00) on the simplex.
-
-    The first index is X, the second is R (missing setting) or Y (matched
-    setting).
-    """
-
-    l11: float
-    l10: float
-    l01: float
-    l00: float
-
-    def __post_init__(self) -> None:
-        probs = (self.l11, self.l10, self.l01, self.l00)
-        if any(p < 0.0 or p > 1.0 for p in probs):
-            raise ValidationError(f"cell probabilities {probs} must lie in [0, 1]")
-        if abs(sum(probs) - 1.0) > SIMPLEX_TOL:
-            raise ValidationError(f"cell probabilities sum to {sum(probs)}, not 1")
-
-    def psi_missing(self) -> PsiMissing:
-        """Identifiable parameter when the second variable is response."""
-        return PsiMissing(self.l11, self.l01, self.l10 + self.l00)
-
-    def psi_matched(self) -> PsiMatched:
-        """Identifiable margins when only margins are observed."""
-        return PsiMatched(self.l11 + self.l10, self.l11 + self.l01)
-
-    def theta_missing(self) -> float:
-        return self.l11 + self.l10
-
-    def theta_matched(self) -> float:
-        return self.l11
+from .model import Psi
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator), pool of 4 words
@@ -111,15 +75,6 @@ def _nonnegative_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ValidationError(f"{what} {value!r} must be an integer >= 0")
     return int(value)
-
-
-def _numpy_seed_sequence(master_seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    """numpy's ``SeedSequence(master_seed, spawn_key=key)``; a bad seed or key
-    entry is a ValidationError, as on the batched path."""
-    return np.random.SeedSequence(
-        _nonnegative_int(master_seed, "master seed"),
-        spawn_key=tuple(_nonnegative_int(k, "spawn key entry") for k in key),
-    )
 
 
 def _uint32_words(value: int, what: str) -> list[int]:
@@ -303,7 +258,10 @@ class ReplicateStream:
     replicate_index: int
 
     def rng(self) -> np.random.Generator:
-        seed_sequence = _numpy_seed_sequence(self.master_seed, (self.replicate_index,))
+        seed_sequence = np.random.SeedSequence(
+            _nonnegative_int(self.master_seed, "master seed"),
+            spawn_key=(_nonnegative_int(self.replicate_index, "replicate index"),),
+        )
         return np.random.Generator(np.random.PCG64(seed_sequence))
 
 
@@ -335,30 +293,3 @@ def _replicate_counts(psi: Psi, sizes: int | tuple[int, int], B: int,
             states[:, start + b] = (state["state"] >> 64, state["state"] & _MASK64,
                                     state["inc"] >> 64, state["inc"] & _MASK64)
     return counts, states
-
-
-def derive_seed(master_seed: int, *key: int) -> int:
-    """Deterministic 64-bit child seed for nested Monte Carlo layers: the
-    first output word of ``SeedSequence(master_seed, spawn_key=key)``."""
-    return int(_numpy_seed_sequence(master_seed, key).generate_state(1, np.uint64)[0])
-
-
-def draw_observed(psi: Psi, sizes: int | tuple[int, int], stream: ReplicateStream) -> ObservedTable:
-    """One draw from the observed-data law at psi.
-
-    ``sizes`` is the total n for a missing-data psi, or (n1, n2) for a
-    matched-data psi.
-    """
-    if min(np.atleast_1d(sizes)) < 1:
-        raise ValidationError(f"sample sizes {sizes} must be at least 1")
-    return psi.table(psi.draw(stream.rng(), sizes), sizes)
-
-
-def draw_complete(truth: SimTruth, n: int, stream: ReplicateStream) -> tuple[int, int, int, int]:
-    """One complete-table draw (n11, n10, n01, n00) of size n from the
-    four-cell law."""
-    if n < 1:
-        raise ValidationError(f"sample size n = {n} must be at least 1")
-    p = np.clip([truth.l11, truth.l10, truth.l01, truth.l00], 0.0, 1.0)
-    counts = stream.rng().multinomial(n, p / p.sum())
-    return tuple(int(c) for c in counts)  # type: ignore[return-value]

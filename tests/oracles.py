@@ -25,15 +25,27 @@ from 1.
 library's batch draw (``minfer.sampling._replicate_counts``, which hashes
 the seeds itself and steps every replicate's PCG64 at once), for the
 counts it draws and for the generator state it hands on to a replicate.
+``child_seed`` is numpy's 64-bit child seed of a master seed and a spawn
+key, for tests that seed sub-studies with several keys.
+
+``exact_missing_curve`` is the expectation of the missing-data bootstrap
+curve, B = infinity: with L = c11/n and U = (c11 + c0)/n, both binomial
+and L <= U, closed membership has probability P(L <= theta) - P(U <
+theta). The floats k/n are compared with theta exactly as the estimator
+compares them, and the pmfs come from numpy alone (``binomial_pmf``).
+
+``SimTruth`` is a complete-data law, with the identifiable parameter and
+theta that each setting observes of it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr, owens_t
 
-from minfer import MissingTable, PsiMissing
+from minfer import MissingTable, PsiMatched, PsiMissing
 
 TAIL_SIGMAS = 13.0
 GL_PANELS = 10
@@ -187,3 +199,69 @@ def normal_owen(psi: PsiMissing, n: int, theta: np.ndarray) -> np.ndarray:
 def numpy_stream(seed: int, b: int) -> np.random.Generator:
     """Replicate b's generator as numpy's SeedSequence spawns it."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+
+
+def child_seed(master_seed: int, *key: int) -> int:
+    """First 64-bit word of numpy's ``SeedSequence(master_seed, spawn_key=key)``."""
+    return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+# pmf support kept either side of the mean: the mass cut is below 1e-300
+PMF_SIGMAS = 40.0
+
+
+def binomial_pmf(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Support k and pmf of binomial(n, p), truncated PMF_SIGMAS standard
+    deviations (plus 40) either side of the mean: log pmf ratios summed
+    outward from the mode, then normalized. Normalizing cancels the pmf's
+    constant, which an lgamma anchor carries with ~1e-9 relative error at
+    n = 1e6."""
+    if p <= 0.0 or p >= 1.0:
+        return np.array([0 if p <= 0.0 else n]), np.array([1.0])
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    lo = max(0, math.floor(mean - PMF_SIGMAS * (sd + 1.0)))
+    hi = min(n, math.ceil(mean + PMF_SIGMAS * (sd + 1.0)))
+    mode = min(n, math.floor((n + 1) * p))
+    odds = p / (1.0 - p)
+    up = np.arange(mode, hi, dtype=float)
+    down = np.arange(mode, lo, -1, dtype=float)
+    log_pmf = np.concatenate([
+        np.cumsum(np.log(down / (n - down + 1.0) / odds))[::-1],
+        [0.0],
+        np.cumsum(np.log((n - up) / (up + 1.0) * odds)),
+    ])
+    pmf = np.exp(log_pmf)
+    return np.arange(lo, hi + 1), pmf / pmf.sum()
+
+
+def exact_missing_curve(psi: PsiMissing, n: int, grid) -> np.ndarray:
+    """Exact expectation of the missing-data bootstrap curve at psi and
+    size n on ``grid`` (see module docs)."""
+    k_lower, p_lower = binomial_pmf(n, psi.l11)
+    k_upper, p_upper = binomial_pmf(n, psi.l11 + psi.l_plus0)
+    lower, upper = k_lower / n, k_upper / n
+    return np.array([p_lower[lower <= theta].sum() - p_upper[upper < theta].sum()
+                     for theta in np.asarray(grid, dtype=float)])
+
+
+@dataclass(frozen=True)
+class SimTruth:
+    """Complete-data cell probabilities (l11, l10, l01, l00): the first
+    index is X, the second R (missing setting) or Y (matched setting)."""
+
+    l11: float
+    l10: float
+    l01: float
+    l00: float
+
+    def psi_missing(self) -> PsiMissing:
+        return PsiMissing(self.l11, self.l01, self.l10 + self.l00)
+
+    def psi_matched(self) -> PsiMatched:
+        return PsiMatched(self.l11 + self.l10, self.l11 + self.l01)
+
+    def theta_missing(self) -> float:
+        return self.l11 + self.l10
+
+    def theta_matched(self) -> float:
+        return self.l11

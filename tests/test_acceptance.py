@@ -21,11 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import binom
 
 import minfer as m
 from minfer import cli
-from oracles import profile_oracle
+from oracles import binomial_pmf, child_seed, exact_missing_curve, profile_oracle
 
 
 def _criterion(name: str, checks: list[tuple[str, bool, str]]) -> None:
@@ -54,21 +53,15 @@ def _csv_value(text: str, theta: float) -> float:
 
 
 def _exact_missing_coverage(psi: m.PsiMissing, n: int, theta: float) -> tuple[float, float]:
-    """Exact expectation of the bootstrap coverage share at theta, and the
-    summed mass of the atoms that L and U put on theta.
-
-    Replicate bounds are L = c/n with c ~ Bin(n, l11) and U = k/n with
-    k ~ Bin(n, l11 + l_plus0), and L <= U always, so closed membership
-    L <= theta <= U has probability P(L <= theta) - P(U < theta). The
-    floats k/n are compared with theta exactly as the estimator does.
-    """
-    ks = np.arange(n + 1)
-    support = ks / n
-    p_lower = binom.pmf(ks, n, psi.l11)
-    p_upper = binom.pmf(ks, n, psi.l11 + psi.l_plus0)
-    exact = p_lower[support <= theta].sum() - p_upper[support < theta].sum()
-    atom = p_lower[support == theta].sum() + p_upper[support == theta].sum()
-    return float(exact), float(atom)
+    """Exact expectation of the bootstrap coverage share at theta
+    (``exact_missing_curve``), and the summed mass of the atoms that L and
+    U put on theta."""
+    exact = float(exact_missing_curve(psi, n, [theta])[0])
+    atom = 0.0
+    for p in (psi.l11, psi.l11 + psi.l_plus0):
+        ks, pmf = binomial_pmf(n, p)
+        atom += float(pmf[ks / n == theta].sum())
+    return exact, atom
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +347,7 @@ def test_ac7_asymptotic_constants():
             sizes = n if isinstance(psi, m.PsiMissing) else (n, n)
             curve = m.corroboration_bootstrap(
                 psi, sizes, grid=np.array([theta]), B=reps,
-                master_seed=m.derive_seed(2026, i, int(theta * 1000), int(limit * 100)),
+                master_seed=child_seed(2026, i, int(theta * 1000), int(limit * 100)),
             )
             gaps.append(abs(curve.values[0] - limit))
         trend_ok = all(b <= a + slack for a, b in zip(gaps, gaps[1:]))

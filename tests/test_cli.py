@@ -155,6 +155,18 @@ class TestExitCodes:
             assert code == 1 and out == "", argv
             assert err.startswith("minfer: error: master seed -"), argv
 
+    def test_negative_seed_is_one_on_normal_curves(self, capsys):
+        # the normal curve draws nothing, but the seed is checked as on the bootstrap
+        for argv in (
+            ["curve", *TRIAL, "--method", "normal", "--seed", "-1"],
+            ["levelset", *TRIAL, "--alpha", "0.5", "--method", "normal", "--seed", "-1"],
+            ["test", *TRIAL, "--theta-star", "0.3", "--method", "normal", "--seed", "-1"],
+            ["test", *TRIAL, "--theta-star", "0.3", "--seed", "-1"],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1 and out == "", argv
+            assert err.startswith("minfer: error: master seed -1 "), argv
+
 
 class TestCurve:
     def test_missing_columns(self, capsys):

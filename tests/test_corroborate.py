@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import binom
 
 import minfer as m
 from minfer import _normal, corroborate
 from minfer.corroborate import bounds_batch_streams
 from minfer.sampling import ReplicateStream
-from oracles import normal_owen, normal_panels, normal_quad
+from oracles import child_seed, exact_missing_curve, normal_owen, normal_panels, normal_quad
 
 TRIAL_N = 110
 
@@ -665,11 +666,44 @@ class TestConvergenceTrend:
         values = []
         for i, n in enumerate((100, 10_000)):
             curve = m.corroboration_bootstrap(
-                psi0, n, grid=np.array([0.4]), B=1000, master_seed=m.derive_seed(23, i)
+                psi0, n, grid=np.array([0.4]), B=1000, master_seed=child_seed(23, i)
             )
             values.append(curve.values[0])
         assert values[0] < values[1]
         assert values[1] > 0.99
+
+
+def _scipy_missing_curve(psi: m.PsiMissing, n: int, grid: np.ndarray) -> np.ndarray:
+    # the exact bootstrap expectation from scipy's pmf on the whole support
+    ks = np.arange(n + 1)
+    support = ks / n
+    p_lower = binom.pmf(ks, n, psi.l11)
+    p_upper = binom.pmf(ks, n, psi.l11 + psi.l_plus0)
+    return np.array([p_lower[support <= theta].sum() - p_upper[support < theta].sum()
+                     for theta in grid])
+
+
+class TestExactMissingCurve:
+    """The numpy-only exact curve in ``oracles`` against scipy's pmf."""
+
+    def test_ac3_thetas(self, trial, trial_psi):
+        grid = np.array([0.2, 0.3, 0.4, 0.5, 0.6])
+        exact = exact_missing_curve(trial_psi, trial.n, grid)
+        assert np.max(np.abs(exact - _scipy_missing_curve(trial_psi, trial.n, grid))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 110, 999, 12_345, 10**5, 10**6])
+    def test_random_tables(self, n, rng):
+        for _ in range(3):
+            cells = rng.multinomial(n, rng.dirichlet([0.5, 0.5, 0.5]))
+            psi = m.mle_psi(m.MissingTable(*cells))
+            c11, c0 = int(cells[0]), int(cells[2])
+            # lattice points around both means, where the atoms sit, and a coarse grid
+            near = np.arange(-3, 4)
+            grid = np.unique(np.clip(np.concatenate([
+                np.linspace(0.0, 1.0, 11), (c11 + near) / n, (c11 + c0 + near) / n,
+            ]), 0.0, 1.0))
+            exact = exact_missing_curve(psi, n, grid)
+            assert np.max(np.abs(exact - _scipy_missing_curve(psi, n, grid))) <= 1e-12
 
 
 class TestCurveContainer:

@@ -217,3 +217,20 @@ class TestChernoffConsistency:
             m.chernoff_consistency_check(self.PSI0, 0.4, n_schedule=[0], reps=10)
         with pytest.raises(m.ValidationError):
             m.chernoff_consistency_check(self.PSI0, 0.4, n_schedule=[10], reps=0)
+
+    @pytest.mark.parametrize("schedule", [[10.7, True], [10, 0], [10, True], [10, 2.0],
+                                          [10, -3], [10, "20"]])
+    def test_schedule_checked_before_any_batch(self, schedule, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ctest, "bounds_batch_streams", lambda *args: calls.append(args))
+        with pytest.raises(m.ValidationError, match="schedule entry n"):
+            m.chernoff_consistency_check(self.PSI0, 0.4, n_schedule=schedule, reps=10)
+        assert calls == []
+
+    def test_numpy_integer_entries(self):
+        rates = m.chernoff_consistency_check(
+            self.PSI0, 0.4, n_schedule=[np.int64(10), np.uint16(40)], reps=30, master_seed=9
+        )
+        expected = m.chernoff_consistency_check(self.PSI0, 0.4, [10, 40], reps=30, master_seed=9)
+        assert rates == expected
+        assert [type(n) for n, _ in rates] == [int, int]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import minfer as m
+from oracles import numpy_stream
 
 
 class TestThetaInterval:
@@ -82,7 +83,7 @@ class TestConsistency:
         target = m.theta_interval(psi0)
         distances = []
         for i, n in enumerate((100, 10_000, 1_000_000)):
-            table = m.draw_observed(psi0, n, m.ReplicateStream(seed, i))
+            table = m.MissingTable(*psi0.draw(numpy_stream(seed, i), n))
             region = m.ml_region(table)
             distances.append(
                 max(abs(region.lower - target.lower), abs(region.upper - target.upper))
@@ -96,7 +97,8 @@ class TestConsistency:
         target = m.theta_interval(psi0)
         distances = []
         for i, n in enumerate((100, 10_000, 1_000_000)):
-            table = m.draw_observed(psi0, (n, n), m.ReplicateStream(seed, i))
+            nx, ny = psi0.draw(numpy_stream(seed, i), (n, n))
+            table = m.MatchedTable(nx, n, ny, n)
             region = m.ml_region(table)
             distances.append(
                 max(abs(region.lower - target.lower), abs(region.upper - target.upper))

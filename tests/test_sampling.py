@@ -11,58 +11,52 @@ import minfer as m
 from minfer import _binomial, corroborate
 from minfer.corroborate import bounds_batch_from_rng, bounds_batch_streams
 from minfer.sampling import _CHUNK, _generator, _replicate_counts, _state_words, _Streams
-from oracles import numpy_stream
+from oracles import SimTruth, child_seed, numpy_stream
+
+
+def _cells(psi, sizes, stream: m.ReplicateStream) -> list[int]:
+    return np.ravel(psi.draw(stream.rng(), sizes)).tolist()
 
 
 class TestStreams:
     def test_same_stream_reproduces(self):
         stream = m.ReplicateStream(42, 7)
         psi = m.PsiMissing(0.3, 0.5, 0.2)
-        assert m.draw_observed(psi, 200, stream) == m.draw_observed(psi, 200, stream)
+        assert _cells(psi, 200, stream) == _cells(psi, 200, stream)
 
     def test_distinct_indices_differ(self):
         psi = m.PsiMissing(0.3, 0.5, 0.2)
-        tables = {
-            m.draw_observed(psi, 10_000, m.ReplicateStream(42, i)) for i in range(8)
-        }
+        tables = {tuple(_cells(psi, 10_000, m.ReplicateStream(42, i))) for i in range(8)}
         assert len(tables) == 8
 
     def test_distinct_master_seeds_differ(self):
         psi = m.PsiMatched(0.4, 0.6)
-        a = m.draw_observed(psi, (10_000, 10_000), m.ReplicateStream(1, 0))
-        b = m.draw_observed(psi, (10_000, 10_000), m.ReplicateStream(2, 0))
+        a = _cells(psi, (10_000, 10_000), m.ReplicateStream(1, 0))
+        b = _cells(psi, (10_000, 10_000), m.ReplicateStream(2, 0))
         assert a != b
-
-    def test_derive_seed_deterministic_and_distinct(self):
-        assert m.derive_seed(5, 3) == m.derive_seed(5, 3)
-        seeds = {m.derive_seed(5, i) for i in range(100)}
-        assert len(seeds) == 100
-        assert m.derive_seed(5, 1, 2) != m.derive_seed(5, 2, 1)
 
 
 class TestDrawObserved:
+    """Replicate tables of the batch draw at psi."""
+
     def test_degenerate_psi(self):
-        psi = m.PsiMissing(1.0, 0.0, 0.0)
-        for i in range(5):
-            table = m.draw_observed(psi, 50, m.ReplicateStream(0, i))
-            assert table == m.MissingTable(50, 0, 0)
+        counts, _ = _replicate_counts(m.PsiMissing(1.0, 0.0, 0.0), 50, 5, 0)
+        assert counts.T.tolist() == [[50, 0, 0]] * 5
 
     def test_matched_four_sigma_band(self):
-        psi = m.PsiMatched(0.5, 0.5)
-        table = m.draw_observed(psi, (10**6, 10**6), m.ReplicateStream(123, 0))
-        assert abs(table.nx / table.n1 - 0.5) < 0.002
-        assert abs(table.ny / table.n2 - 0.5) < 0.002
+        counts, _ = _replicate_counts(m.PsiMatched(0.5, 0.5), (10**6, 10**6), 1, 123)
+        assert np.all(np.abs(counts / 10**6 - 0.5) < 0.002)
 
     def test_counts_total(self):
-        psi = m.PsiMissing(0.2, 0.5, 0.3)
-        table = m.draw_observed(psi, 321, m.ReplicateStream(9, 0))
-        assert table.n == 321
+        counts, _ = _replicate_counts(m.PsiMissing(0.2, 0.5, 0.3), 321, 40, 9)
+        assert counts.sum(axis=0).tolist() == [321] * 40
 
     def test_bad_sizes_rejected(self):
-        with pytest.raises(m.ValidationError):
-            m.draw_observed(m.PsiMissing(0.2, 0.5, 0.3), 0, m.ReplicateStream(0, 0))
-        with pytest.raises(m.ValidationError):
-            m.draw_observed(m.PsiMatched(0.2, 0.5), (0, 5), m.ReplicateStream(0, 0))
+        # the public bootstrap refuses to draw replicates of size 0
+        with pytest.raises(m.ValidationError, match="sample sizes"):
+            m.corroboration_bootstrap(m.PsiMissing(0.2, 0.5, 0.3), 0, B=5)
+        with pytest.raises(m.ValidationError, match="sample sizes"):
+            m.corroboration_bootstrap(m.PsiMatched(0.2, 0.5), (0, 5), B=5)
 
 
 class TestPinnedDraws:
@@ -78,8 +72,8 @@ class TestPinnedDraws:
 
     def test_draw_observed(self):
         stream = m.ReplicateStream(7, 3)
-        assert m.draw_observed(*self.MISSING, stream) == m.MissingTable(22, 24, 4)
-        assert m.draw_observed(*self.MATCHED, stream) == m.MatchedTable(18, 30, 17, 20)
+        assert _cells(*self.MISSING, stream) == [22, 24, 4]
+        assert _cells(*self.MATCHED, stream) == [18, 17]
 
     def test_bounds_batch_streams(self):
         lo, up = bounds_batch_streams(*self.MISSING, 6, 11)
@@ -170,7 +164,7 @@ def _same_stream(rng: np.random.Generator, oracle: np.random.Generator) -> None:
 # 4-word pool, and the 64-bit child seeds nested layers use
 ORACLE_SEEDS = [
     0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345,
-    m.derive_seed(9, 0), m.derive_seed(2026, 3, 7),
+    child_seed(9, 0), child_seed(2026, 3, 7),
 ]
 
 
@@ -197,12 +191,6 @@ class TestSeedingOracle:
     def test_replicate_stream_matches_numpy(self, seed):
         for b in (0, 1, 4999, 2**32, 2**40 + 5):
             _same_stream(m.ReplicateStream(seed, b).rng(), numpy_stream(seed, b))
-
-    @pytest.mark.parametrize("key", [(), (0,), (3,), (1, 2), (2**40, 5), (1, 2, 3, 4, 5)])
-    def test_derive_seed_matches_numpy(self, key):
-        for seed in ORACLE_SEEDS:
-            words = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)
-            assert m.derive_seed(seed, *key) == int(words[0])
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**130 + 12345])
     def test_streams_spawn_as_numpy_streams_do(self, seed):
@@ -237,6 +225,13 @@ class TestSeedingOracle:
     def test_any_seed_and_index(self, seed, b):
         _same_stream(m.ReplicateStream(seed, b).rng(), numpy_stream(seed, b))
         assert _state_words(seed, np.array([b], dtype=np.uint64))[0].tolist() == _numpy_words(seed, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**160 - 1), i=st.integers(0, 2**32 - 1))
+    def test_child_seed_matches_numpy(self, seed, i):
+        # the per-entry seeds of the consistency check: a row's first word
+        word = _state_words(seed, np.array([i], dtype=np.uint64))[0, 0]
+        assert word == np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0]
 
 
 # outer tables as the assurance sweep draws them: at the MLE of a table of
@@ -290,14 +285,10 @@ class TestMasterSeedValidation:
             _replicate_counts(m.PsiMissing(0.3, 0.5, 0.2), 10, 5, seed)
         with pytest.raises(m.ValidationError, match="master seed"):
             m.ReplicateStream(seed, 0).rng()
-        with pytest.raises(m.ValidationError, match="master seed"):
-            m.derive_seed(seed, 0)
 
     def test_bad_keys_rejected(self):
         with pytest.raises(m.ValidationError):
             m.ReplicateStream(0, -1).rng()
-        with pytest.raises(m.ValidationError):
-            m.derive_seed(0, 1, -2)
 
     def test_library_calls_raise_validation_error(self):
         psi = m.PsiMissing(0.3, 0.5, 0.2)
@@ -310,6 +301,16 @@ class TestMasterSeedValidation:
             m.assurance_of_ml_region(data, B_outer=5, master_seed=-5)
         with pytest.raises(m.ValidationError, match="master seed"):
             m.chernoff_consistency_check(psi, 0.35, [10], reps=5, master_seed=-1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_normal_curve_checks_the_seed(self, seed):
+        # as the bootstrap does, though the normal curve draws nothing
+        data = m.MissingTable(32, 54, 24)
+        with pytest.raises(m.ValidationError, match="master seed"):
+            corroborate.corroboration_curve(m.mle_psi(data), data.n, method="normal",
+                                            master_seed=seed)
+        with pytest.raises(m.ValidationError, match="master seed"):
+            m.corroboration_test(data, 0.3, method="normal", master_seed=seed)
 
 
 class TestSeedingIsBatched:
@@ -336,41 +337,29 @@ class TestSeedingIsBatched:
         assert curve.B == 500 and reports[0].B_outer == 20
         assert calls == ["SeedSequence", "default_rng"]
 
+    def test_consistency_check_builds_no_seed_sequence(self, monkeypatch):
+        # every entry's seed comes from one batched hash, not numpy's SeedSequence
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence built")
 
-class TestDrawComplete:
-    def test_degenerate(self):
-        truth = m.SimTruth(1.0, 0.0, 0.0, 0.0)
-        assert m.draw_complete(truth, 9, m.ReplicateStream(0, 0)) == (9, 0, 0, 0)
-
-    def test_four_sigma_band_uniform(self):
-        truth = m.SimTruth(0.25, 0.25, 0.25, 0.25)
-        counts = m.draw_complete(truth, 4 * 10**6, m.ReplicateStream(77, 0))
-        assert sum(counts) == 4 * 10**6
-        for c in counts:
-            assert abs(c - 10**6) < 3465
-
-    def test_reproducible(self):
-        truth = m.SimTruth(0.1, 0.2, 0.3, 0.4)
-        stream = m.ReplicateStream(5, 11)
-        assert m.draw_complete(truth, 1000, stream) == m.draw_complete(truth, 1000, stream)
-
-    def test_simplex_validation(self):
-        with pytest.raises(m.ValidationError):
-            m.SimTruth(0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(m.ValidationError):
-            m.SimTruth(1.2, -0.2, 0.0, 0.0)
+        corroborate._bounds_batch.cache_clear()
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        rates = m.chernoff_consistency_check(
+            m.PsiMatched(0.4, 0.7), 0.05, [10, 40, 10], reps=30, master_seed=2**130 + 1
+        )
+        assert [n for n, _ in rates] == [10, 40, 10]
 
 
 class TestSimTruthMaps:
     def test_identifiable_parameters(self):
-        truth = m.SimTruth(0.1, 0.2, 0.3, 0.4)
+        truth = SimTruth(0.1, 0.2, 0.3, 0.4)
         assert truth.psi_missing() == m.PsiMissing(0.1, 0.3, 0.2 + 0.4)
         assert truth.psi_matched() == m.PsiMatched(0.1 + 0.2, 0.1 + 0.3)
         assert truth.theta_missing() == pytest.approx(0.3)
         assert truth.theta_matched() == 0.1
 
     def test_theta_sits_in_both_regions(self):
-        truth = m.SimTruth(0.15, 0.25, 0.35, 0.25)
+        truth = SimTruth(0.15, 0.25, 0.35, 0.25)
         assert m.theta_interval(truth.psi_missing()).contains(truth.theta_missing())
         assert m.theta_interval(truth.psi_matched()).contains(truth.theta_matched())
 
@@ -405,11 +394,11 @@ class TestGoodnessOfFit:
 
     def _observed_law(self, psi, sizes, seed: int) -> Counter:
         # replicate b's table from the batch draw, the one psi.draw makes on
-        # the stream draw_observed uses: checked on the first 1,000 replicates
+        # numpy's own stream: checked on the first 1,000 replicates
         counts, _ = _replicate_counts(psi, sizes, self.REPS, seed)
         draws = [tuple(cells) for cells in counts.T.tolist()]
         for b, cells in enumerate(draws[:1000]):
-            assert m.draw_observed(psi, sizes, m.ReplicateStream(seed, b)).cells == cells
+            assert tuple(np.ravel(psi.draw(numpy_stream(seed, b), sizes)).tolist()) == cells
         return Counter(draws)
 
     @pytest.mark.parametrize(
@@ -439,33 +428,3 @@ class TestGoodnessOfFit:
             for y in range(n2 + 1)
         }
         assert _merged_chisquare(observed, expected, self.REPS) > 0.001
-
-    def test_complete_collapses_to_missing_law(self):
-        # collapsing (n10 + n00) must reproduce the missing-data law
-        truth = m.SimTruth(0.2, 0.1, 0.4, 0.3)
-        psi = truth.psi_missing()
-        n = 5
-        observed: dict = {}
-        for b in range(self.REPS):
-            n11, n10, n01, n00 = m.draw_complete(truth, n, m.ReplicateStream(105, b))
-            key = (n11, n01, n10 + n00)
-            observed[key] = observed.get(key, 0) + 1
-        expected = {
-            cell: math.exp(stats.multinomial.logpmf(cell, n, [psi.l11, psi.l01, psi.l_plus0]))
-            for cell in _compositions(n)
-        }
-        assert _merged_chisquare(observed, expected, self.REPS) > 0.001
-
-    def test_complete_margin_is_binomial(self):
-        # the X margin of a complete table follows the matched-data law
-        truth = m.SimTruth(0.2, 0.1, 0.4, 0.3)
-        n1 = 8
-        observed: dict = {}
-        for b in range(self.REPS // 2):
-            n11, n10, _, _ = m.draw_complete(truth, n1, m.ReplicateStream(106, b))
-            key = n11 + n10
-            observed[key] = observed.get(key, 0) + 1
-        expected = {
-            x: stats.binom.pmf(x, n1, truth.psi_matched().l1p) for x in range(n1 + 1)
-        }
-        assert _merged_chisquare(observed, expected, self.REPS // 2) > 0.001

@@ -63,9 +63,6 @@ import numpy as np
 
 from .corroborate import (
     _as_grid,
-    _check_count,
-    _check_grid,
-    _check_offset,
     _max_sets,
     _tie_epsilon,
     bounds_batch_from_rng,
@@ -75,7 +72,8 @@ from .corroborate import (
     coverage_share,
     write_csv,
 )
-from .errors import DegenerateVariance, NoQualifyingH, ValidationError
+from .errors import (DegenerateVariance, NoQualifyingH, ValidationError, _check_count,
+                     _check_grid, _check_offset, _check_probability, _invalid)
 from .identify import ThetaInterval, ml_region
 from .model import ObservedTable, mle_psi
 from .sampling import _generator, _replicate_counts
@@ -103,8 +101,7 @@ class AssuranceReport:
     fallback_count: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tau_hat <= 1.0:
-            raise ValidationError(f"tau_hat = {self.tau_hat} is not in [0, 1]")
+        _check_probability(self.tau_hat, "tau_hat")
         if not 0.0 <= self.L_bar <= self.U_bar <= 1.0:
             raise ValidationError(
                 f"expected endpoints [{self.L_bar}, {self.U_bar}] are not ordered in [0, 1]"
@@ -228,8 +225,7 @@ def assurance_sweep(
     for h in hs:
         _check_offset(h)
     B_outer = _check_count(B_outer, "B_outer")
-    if threads < 1:
-        raise ValidationError(f"thread count {threads} must be at least 1")
+    threads = _check_count(threads, "threads")
     psi_hat = mle_psi(data)
     inner_method = corroboration_method(psi_hat, inner_method)
     inner_B = _check_count(inner_B, "inner_B")
@@ -320,13 +316,12 @@ def select_h(
     the smallest offset falls short; a tau_min outside [0, 1] is a
     ValidationError before any replicate is drawn.
     """
-    if not 0.0 <= tau_min <= 1.0:
-        raise ValidationError(f"tau_min = {tau_min} must lie in [0, 1]")
+    _check_probability(tau_min, "tau_min")
     cands = [float(h) for h in candidates]
     if not cands:
-        raise ValidationError("candidate list must be nonempty")
+        raise _invalid(ValidationError, "candidates", None, "must be nonempty")
     if any(a > b for a, b in zip(cands, cands[1:])):
-        raise ValidationError("candidates must be sorted ascending")
+        raise _invalid(ValidationError, "candidates", cands, "must be sorted ascending")
     reports = assurance_sweep(data, cands, **sweep_kwargs)
     for report in reversed(reports):
         if report.tau_hat >= tau_min:

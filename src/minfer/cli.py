@@ -14,7 +14,7 @@ Numbers are serialized with 6 decimal places; reruns with identical
 arguments and seed produce byte-identical output. Exit codes: 0 success,
 1 invalid input, 2 numeric failure. Values from a ``--config`` JSON file
 are parsed as if given as flags before the command line's own, so they
-pass the same checks and explicit flags win.
+pass the same checks and explicit flags win. An error names the flag.
 """
 
 from __future__ import annotations
@@ -33,12 +33,22 @@ import numpy as np
 from . import assure as assure_mod
 from . import corroborate as corr
 from . import ctest, likelihood
-from .errors import EmptyLevelSet, MinferError, NoQualifyingH, ValidationError
+from .errors import EmptyLevelSet, MinferError, NoQualifyingH, ValidationError, _check_count
 from .identify import ml_region
 from .model import SETTINGS, MissingTable, ObservedTable, mle_psi, validate
 
 THREADS_ENV = "MINFER_THREADS"
 GRID = "0:1:0.001"
+
+# the flag that sets each library parameter a check names ((subcommand, name) first)
+_FLAGS = {
+    "B": "--B", ("simulate", "B"): "--reps", "B_outer": "--B-outer", "inner_B": "--inner-B",
+    "master_seed": "--seed", "threads": "--threads", "grid": "--grid", "alpha": "--alpha",
+    "h": "--h", "candidates": "--h", "tau_min": "--tau-min", "theta_star": "--theta-star",
+    "sizes": "--sizes", "counts": "--counts", "psi": "--psi",
+    **{f.name: "--psi" for table in SETTINGS.values() for f in fields(table.psi_type)},
+    **{f.name: "--counts" for table in SETTINGS.values() for f in fields(table)},
+}
 
 
 class _UsageError(ValidationError):
@@ -78,15 +88,13 @@ def parse_grid(spec: str) -> np.ndarray:
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValidationError(f"--grid expects finite start:stop:step, got {spec!r}")
     if step <= 0.0:
-        raise ValidationError(f"grid step must be positive, got {step}")
+        raise ValidationError(f"--grid step must be positive, got {step}")
     if stop < start:
-        raise ValidationError(f"grid stop {stop} is below start {start}")
+        raise ValidationError(f"--grid stop {stop} is below start {start}")
     count = int(np.floor((stop - start) / step + 0.5)) + 1
     grid = start + step * np.arange(count)
     if abs(grid[-1] - stop) < step * 1e-6:
         grid[-1] = stop
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise ValidationError(f"grid {spec!r} leaves [0, 1]")
     return grid
 
 
@@ -130,28 +138,16 @@ def _config_tokens(args: argparse.Namespace, config: dict) -> list[str]:
     return tokens
 
 
-def _check_threads(value: int | None) -> int:
+def _threads(value: int | None) -> int:
     # the flag (a --config value arrives as one), then the environment, else 1
-    env = os.environ.get(THREADS_ENV)
     if value is not None:
-        source = f"--threads {value}"
-    elif env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-        source = f"{THREADS_ENV}={value}"
-    else:
-        return 1
-    if value < 1:
-        raise ValidationError(f"{source} must be at least 1")
-    return value
-
-
-def _check_count(flag: str, value: int) -> None:
-    # a replicate count, named by the flag that set it
-    if value < 1:
-        raise ValidationError(f"{flag} {value} must be at least 1")
+        return _check_count(value, "threads")
+    env = os.environ.get(THREADS_ENV, "1")
+    try:
+        value = int(env)
+    except ValueError as exc:
+        raise ValidationError(f"{THREADS_ENV}={env!r} is not an integer") from exc
+    return _check_count(value, THREADS_ENV)
 
 
 def _table_from_args(args: argparse.Namespace) -> ObservedTable:
@@ -248,8 +244,7 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
 
 def _cmd_assure(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
-    threads = _check_threads(args.threads)
-    _check_count("--B-outer", args.B_outer)
+    threads = _threads(args.threads)
     if args.ml_region:
         report = assure_mod.assurance_of_ml_region(
             data, B_outer=args.B_outer, master_seed=args.seed
@@ -259,7 +254,6 @@ def _cmd_assure(args: argparse.Namespace) -> int:
     # an empty list (``--h ,`` or ``"h": []``) names no offset
     if not args.h:
         raise ValidationError("assure needs --h (one value or a comma list) or --ml-region")
-    _check_count("--inner-B", args.inner_B)
     grid = parse_grid(args.grid)
     kwargs = dict(
         B_outer=args.B_outer,
@@ -270,8 +264,6 @@ def _cmd_assure(args: argparse.Namespace) -> int:
         threads=threads,
     )
     if args.tau_min is not None:
-        if not 0.0 <= args.tau_min <= 1.0:
-            raise ValidationError(f"--tau-min {args.tau_min} must lie in [0, 1]")
         chosen, report = assure_mod.select_h(data, float(args.tau_min), args.h, **kwargs)
         payload = {"tau_min": _round6(args.tau_min), "chosen_h": _round6(chosen),
                    "report": _rounded(report.to_dict())}
@@ -315,8 +307,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ):
         if len(values) != len(names):
             raise ValidationError(f"{args.setting}-data {flag} needs {','.join(names)}")
-    # the library's replicate count is B; this subcommand's flag is --reps
-    _check_count("--reps", args.reps)
     psi = table_type.psi_type(*args.psi)
     sizes = args.sizes[0] if len(args.sizes) == 1 else tuple(args.sizes)
     grid = parse_grid(args.grid)
@@ -414,7 +404,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return args.func(args)
     except ValidationError as exc:
-        print(f"minfer: error: {exc}", file=sys.stderr)
+        flag = _FLAGS.get((argv[0] if argv else None, exc.name), _FLAGS.get(exc.name))
+        shown = " ".join(str(part) for part in (flag, exc.value, exc.rule) if part is not None)
+        print(f"minfer: error: {shown if flag else exc}", file=sys.stderr)
         return 1
     except NoQualifyingH as exc:
         print(f"minfer: {exc}", file=sys.stderr)

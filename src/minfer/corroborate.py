@@ -27,10 +27,11 @@ Two estimators are provided:
   double precision. No Owen's T function and no scipy is involved.
 
 ``corroboration_curve`` is the one method dispatch, for the CLI and the
-corroboration test (``ctest``); it checks B and the master seed whatever
-the method, so a bad one is an error on the normal curve too. The
-assurance sweep's inner curve keeps its own dispatch, since its nested
-bootstrap draws from the replicate's generator.
+corroboration test (``ctest``); it checks B, the master seed and the grid
+whatever the method (with ``errors``' checkers), before any draw, so a
+bad one is an error on the normal curve too. The assurance sweep's inner
+curve keeps its own dispatch, since its nested bootstrap draws from the
+replicate's generator.
 
 ``bounds_batch_streams`` keeps its last batch: the bounds of the most
 recent (psi, sizes, B, master_seed), two read-only arrays (16·B bytes),
@@ -55,7 +56,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
@@ -63,10 +63,12 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 
 from ._normal import _bvn_cover, _ndtr_pair
-from .errors import DegenerateVariance, EmptyLevelSet, ValidationError
+from .errors import (DegenerateVariance, EmptyLevelSet, ValidationError, _check_count,
+                     _check_grid, _check_offset, _check_probability, _check_seed,
+                     _check_sizes, _check_theta)
 from .identify import ThetaInterval, theta_interval
 from .model import Psi, PsiMissing
-from .sampling import _nonnegative_int, _replicate_counts
+from .sampling import _replicate_counts
 
 GRID_STEP = 0.001
 NORMAL_TIE_EPS = 1e-9
@@ -109,33 +111,6 @@ def _as_grid(grid: np.ndarray | None) -> np.ndarray:
     return default_grid() if grid is None else np.asarray(grid, dtype=float)
 
 
-def _check_grid(grid: np.ndarray) -> None:
-    """A theta grid is a nonempty 1-D array, strictly increasing within
-    [0, 1]; written so that NaN fails too."""
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("grid must be a nonempty 1-D array")
-    if not (grid[0] >= 0.0 and grid[-1] <= 1.0 and np.all(np.diff(grid) > 0.0)):
-        raise ValidationError("grid must be strictly increasing within [0, 1]")
-
-
-def _check_offset(h: float) -> None:
-    """An offset below the curve maximum lies in [0, 1): corroboration lies
-    in [0, 1], so any larger h would select the whole grid."""
-    if not 0.0 <= h < 1.0:
-        raise ValidationError(f"offset h = {h} must lie in [0, 1)")
-
-
-def _check_count(value, name: str) -> int:
-    """A replicate count (B, B_outer, inner_B, reps): an integer >= 1, numpy
-    integers included and bool not, returned as an int; ``name`` labels it
-    in the message."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} = {value!r} must be an integer")
-    if value < 1:
-        raise ValidationError(f"{name} = {value} must be at least 1")
-    return int(value)
-
-
 def _tie_epsilon(B: int | None) -> float:
     """Max-set threshold slack: half a lattice step on a bootstrap curve of
     B replicates, a float guard on a normal curve (B is None)."""
@@ -168,8 +143,7 @@ class CorroborationCurve:
         if self.method not in ("bootstrap", "normal"):
             raise ValidationError(f"unknown method {self.method!r}")
         if self.method == "bootstrap":
-            if self.B is None or self.B < 1:
-                raise ValidationError("bootstrap curves need a replicate count B >= 1")
+            _check_count(self.B, "B")
             lattice = values * self.B
             if np.max(np.abs(lattice - np.round(lattice))) > 1e-6:
                 raise ValidationError("bootstrap values must be multiples of 1/B")
@@ -209,7 +183,8 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
     """Plug-in interval bounds (L, U) of B replicate tables drawn at psi,
     one independent stream per replicate (spawn keys 0..B-1), as read-only
     arrays; the last batch is kept (see module docs)."""
-    B = _check_count(B, "replicate count B")
+    B = _check_count(B, "B")
+    _check_sizes(sizes)
     # list or array sizes become a tuple, which can key the memo
     return _bounds_batch(psi, sizes if np.ndim(sizes) == 0 else tuple(sizes), B, master_seed)
 
@@ -256,9 +231,7 @@ def corroboration_bootstrap(
     the share of intervals covering each grid point. The same replicates
     serve the whole grid.
     """
-    B = _check_count(B, "replicate count B")
-    if np.min(sizes) < 1:
-        raise ValidationError(f"sample sizes {sizes} must be at least 1")
+    B = _check_count(B, "B")
     grid = _as_grid(grid)
     lower, upper = bounds_batch_streams(psi, sizes, B, master_seed)
     values = coverage_share(lower, upper, grid)
@@ -272,8 +245,7 @@ def _normal_values(psi: PsiMissing, n: int, theta: np.ndarray) -> np.ndarray:
     """Normal-approximation coverage P(L <= theta <= U) at each theta, with
     h and k the standardized distances of theta from the means of L and U."""
     corroboration_method(psi, "normal")
-    if n < 1:
-        raise ValidationError(f"sample size n = {n} must be at least 1")
+    _check_sizes(n)
     if psi.l11 in (0.0, 1.0) or psi.l_plus0 in (0.0, 1.0):
         raise DegenerateVariance(
             f"normal approximation undefined at l11 = {psi.l11}, l_plus0 = {psi.l_plus0}"
@@ -301,9 +273,7 @@ def _normal_values(psi: PsiMissing, n: int, theta: np.ndarray) -> np.ndarray:
 def corroboration_normal(psi: PsiMissing, n: int, theta: float) -> float:
     """Normal-approximation corroboration of one theta (missing data); see
     ``_normal_values``."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta = {theta} is not in [0, 1]")
-    return float(_normal_values(psi, n, np.array([float(theta)]))[0])
+    return float(_normal_values(psi, n, _check_theta(theta))[0])
 
 
 def corroboration_normal_curve(psi: PsiMissing, n: int, grid: np.ndarray | None = None) -> CorroborationCurve:
@@ -325,9 +295,12 @@ def corroboration_curve(
     """Corroboration curve at psi by ``method`` or the setting's default
     (``corroboration_method``): the normal curve, or the bootstrap of B
     replicates spawned from ``master_seed``. B and the seed are checked
-    whatever the method (see module docs)."""
-    B = _check_count(B, "replicate count B")
-    _nonnegative_int(master_seed, "master seed")
+    whatever the method, and the grid before any replicate is drawn (see
+    module docs)."""
+    B = _check_count(B, "B")
+    _check_seed(master_seed)
+    grid = _as_grid(grid)
+    _check_grid(grid)
     if corroboration_method(psi, method) == "normal":
         return corroboration_normal_curve(psi, sizes, grid)
     return corroboration_bootstrap(psi, sizes, grid, B=B, master_seed=master_seed)
@@ -341,8 +314,7 @@ def asymptotic_corroboration(psi: Psi, theta: float) -> float | None:
     ``None`` where no limit is defined (boundary cases with a degenerate
     region, a missing-data lower endpoint at 0, or an upper endpoint at 1).
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta = {theta} is not in [0, 1]")
+    _check_theta(theta)
     region = theta_interval(psi)
     if not region.contains(theta):
         return 0.0
@@ -395,8 +367,7 @@ def level_set(curve: CorroborationCurve, alpha: float) -> LevelSet:
     strictly below alpha qualify, e.g. zero-valued points as alpha
     approaches 0.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"level alpha = {alpha} must be in (0, 1]")
+    _check_probability(alpha, "alpha", positive=True)
     threshold = alpha - 1e-12
     if not np.any(curve.values >= threshold):
         raise EmptyLevelSet(f"no grid point reaches corroboration {alpha}")

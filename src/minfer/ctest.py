@@ -32,13 +32,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .corroborate import (
-    _check_count,
-    bounds_batch_streams,
-    corroboration_curve,
-    corroboration_method,
-)
-from .errors import BoundaryTheta, ThetaOutOfDomain
+from .corroborate import bounds_batch_streams, corroboration_curve, corroboration_method
+from .errors import BoundaryTheta, _check_count, _check_seed, _check_theta
 from .identify import ml_region, theta_interval
 from .model import ObservedTable, Psi, mle_psi
 from .sampling import _state_words
@@ -75,14 +70,15 @@ def corroboration_tests(
     master_seed: int = 0,
 ) -> list[TestResult]:
     """``corroboration_test`` of each theta_star, all read from one curve
-    on the distinct theta_stars (see module docs)."""
-    for theta_star in theta_stars:
-        if not 0.0 <= theta_star <= 1.0:
-            raise ThetaOutOfDomain(f"theta_star = {theta_star} is not in [0, 1]")
-    if not theta_stars:
-        return []
+    on the distinct theta_stars (see module docs); an empty list, once
+    every argument is checked, gives no result."""
+    _check_theta(theta_stars, "theta_star")
+    _check_count(B, "B")
+    _check_seed(master_seed)
     psi_hat = mle_psi(data)
     method = corroboration_method(psi_hat, method)
+    if not theta_stars:
+        return []
     region = ml_region(data)
     # the curve needs an increasing grid; theta_stars may come in any order
     grid, where = np.unique(np.asarray(theta_stars, dtype=float), return_inverse=True)
@@ -142,15 +138,14 @@ def chernoff_consistency_check(
     must be strictly interior or strictly exterior to the identification
     region at psi0; rates then drift to 0 or 1 respectively.
     """
-    if not 0.0 <= theta_star <= 1.0:
-        raise ThetaOutOfDomain(f"theta_star = {theta_star} is not in [0, 1]")
+    _check_theta(theta_star, "theta_star")
     reps = _check_count(reps, "reps")
     region0 = theta_interval(psi0)
     if theta_star == region0.lower or theta_star == region0.upper:
         raise BoundaryTheta(
             f"theta_star = {theta_star} sits exactly on an identification bound"
         )
-    schedule = [_check_count(n, "schedule entry n") for n in n_schedule]
+    schedule = [_check_count(n, "n_schedule") for n in n_schedule]
     seeds = _state_words(master_seed, np.arange(len(schedule), dtype=np.uint64))[:, 0]
     rates = []
     for n, seed in zip(schedule, seeds.tolist()):

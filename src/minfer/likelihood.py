@@ -30,17 +30,8 @@ import math
 
 import numpy as np
 
-from .errors import ThetaOutOfDomain
+from .errors import _check_theta
 from .model import MissingTable
-
-
-def _thetas(theta) -> np.ndarray:
-    """``theta`` (a number or a grid) as a float array, each value checked."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    outside = ~((0.0 <= theta) & (theta <= 1.0))
-    if outside.any():
-        raise ThetaOutOfDomain(f"theta = {theta[outside][0]} is not in [0, 1]")
-    return theta
 
 
 def _cell_term(count: int, prob: np.ndarray) -> np.ndarray:
@@ -81,12 +72,12 @@ def _mcar_log_liks(data: MissingTable, theta: np.ndarray) -> np.ndarray:
 def profile_log_lik(data: MissingTable, theta: float) -> float:
     """Log profile likelihood of theta (closed form, up to the constant
     multinomial coefficient)."""
-    return float(_profile_log_liks(data, _thetas(theta))[0])
+    return float(_profile_log_liks(data, _check_theta(theta))[0])
 
 
 def mcar_log_lik(data: MissingTable, theta: float) -> float:
     """Binomial log likelihood under outcome-independent response."""
-    return float(_mcar_log_liks(data, _thetas(theta))[0])
+    return float(_mcar_log_liks(data, _check_theta(theta))[0])
 
 
 def profile_lr(data: MissingTable, theta_star: float, theta_ref: float) -> float:
@@ -105,10 +96,10 @@ def standardize(log_liks: np.ndarray) -> np.ndarray:
 
 def profile_curve(data: MissingTable, grid: np.ndarray) -> np.ndarray:
     """Standardized profile likelihood over a theta grid (peak value 1)."""
-    return standardize(_profile_log_liks(data, _thetas(grid)))
+    return standardize(_profile_log_liks(data, _check_theta(grid)))
 
 
 def mcar_curve(data: MissingTable, grid: np.ndarray) -> np.ndarray:
     """Standardized benchmark likelihood over a theta grid (peak value 1)."""
-    return standardize(_mcar_log_liks(data, _thetas(grid)))
+    return standardize(_mcar_log_liks(data, _check_theta(grid)))
 

@@ -39,7 +39,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._binomial import _binomial_draws, _binomial_streams
-from .errors import EmptySample, InconsistentTotals, NegativeCount, ValidationError
+from .errors import (EmptySample, InconsistentTotals, NegativeCount, ValidationError,
+                     _check_probability, _invalid)
 
 SIMPLEX_TOL = 1e-12
 
@@ -48,15 +49,10 @@ def _coerce_counts(obj: object, names: Sequence[str]) -> None:
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or value != int(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+            raise _invalid(ValidationError, name, repr(value), "must be an integer")
         if value < 0:
-            raise NegativeCount(f"{name} = {value} is negative")
+            raise _invalid(NegativeCount, name, value, "is negative")
         object.__setattr__(obj, name, int(value))
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} = {value} is not in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,10 @@ class PsiMissing:
 
     def __post_init__(self) -> None:
         for name in ("l11", "l01", "l_plus0"):
-            _check_probability(name, getattr(self, name))
+            _check_probability(getattr(self, name), name)
         total = self.l11 + self.l01 + self.l_plus0
         if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValidationError(f"components sum to {total}, not 1")
+            raise _invalid(ValidationError, "psi", None, f"components sum to {total}, not 1")
 
     @cached_property
     def pvals(self) -> np.ndarray:
@@ -149,8 +145,8 @@ class PsiMatched:
     has_normal = False
 
     def __post_init__(self) -> None:
-        _check_probability("l1p", self.l1p)
-        _check_probability("lp1", self.lp1)
+        _check_probability(self.l1p, "l1p")
+        _check_probability(self.lp1, "lp1")
 
     def draw(self, rng: np.random.Generator, sizes: tuple[int, int], size: int | None = None):
         """Cells (nx, ny) of one draw of binomial(n1, l1p), then of
@@ -210,7 +206,7 @@ class MissingTable:
     def __post_init__(self) -> None:
         _coerce_counts(self, ("n11", "n01", "n_plus0"))
         if self.n == 0:
-            raise EmptySample("total count n must be at least 1")
+            raise _invalid(EmptySample, "counts", None, "must total at least 1")
 
     @property
     def n(self) -> int:
@@ -240,11 +236,11 @@ class MatchedTable:
     def __post_init__(self) -> None:
         _coerce_counts(self, ("nx", "n1", "ny", "n2"))
         if self.n1 == 0 or self.n2 == 0:
-            raise EmptySample("sample sizes n1 and n2 must be at least 1")
+            raise _invalid(EmptySample, "counts", None, "must have n1 and n2 at least 1")
         if self.nx > self.n1:
-            raise InconsistentTotals(f"nx = {self.nx} exceeds n1 = {self.n1}")
+            raise _invalid(InconsistentTotals, "counts", None, f"nx = {self.nx} exceeds n1 = {self.n1}")
         if self.ny > self.n2:
-            raise InconsistentTotals(f"ny = {self.ny} exceeds n2 = {self.n2}")
+            raise _invalid(InconsistentTotals, "counts", None, f"ny = {self.ny} exceeds n2 = {self.n2}")
 
     @property
     def sizes(self) -> tuple[int, int]:
@@ -272,9 +268,8 @@ def validate(raw_counts: Sequence[int], setting: str) -> ObservedTable:
         raise ValidationError(f"unknown setting {setting!r}; expected 'missing' or 'matched'")
     names = [f.name for f in fields(table_type)]
     if len(counts) != len(names):
-        raise ValidationError(
-            f"{setting}-data input needs {len(names)} counts ({', '.join(names)}), got {len(counts)}"
-        )
+        raise _invalid(ValidationError, "counts", counts,
+                       f"must be {len(names)} {setting}-data counts ({', '.join(names)})")
     return table_type(*counts)
 
 

@@ -33,13 +33,12 @@ that goes on drawing (the assurance sweep's nested bootstrap).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_seed
 from .model import Psi
 
 
@@ -70,16 +69,9 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-def _nonnegative_int(value, what: str) -> int:
-    """``value`` as a Python int, if it is an integer >= 0 (bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValidationError(f"{what} {value!r} must be an integer >= 0")
-    return int(value)
-
-
-def _uint32_words(value: int, what: str) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer (0 is [0])."""
-    value = _nonnegative_int(value, what)
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a master seed (0 is [0])."""
+    value = _check_seed(value)
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -93,7 +85,7 @@ def _state_words(master_seed: int, replicates: np.ndarray) -> np.ndarray:
     row per index: the master seed is hashed once, and only mixing the spawn
     word in is done for all indices at once.
     """
-    seed_words = _uint32_words(master_seed, "master seed")
+    seed_words = _uint32_words(master_seed)
     # SeedSequence pads the seed with zeros to the pool size before a spawn key
     words = [*seed_words, *[0] * (_POOL_SIZE - len(seed_words)), replicates]
     hash_const = _INIT_A
@@ -259,8 +251,8 @@ class ReplicateStream:
 
     def rng(self) -> np.random.Generator:
         seed_sequence = np.random.SeedSequence(
-            _nonnegative_int(self.master_seed, "master seed"),
-            spawn_key=(_nonnegative_int(self.replicate_index, "replicate index"),),
+            _check_seed(self.master_seed),
+            spawn_key=(_check_seed(self.replicate_index, "replicate_index"),),
         )
         return np.random.Generator(np.random.PCG64(seed_sequence))
 

@@ -214,8 +214,15 @@ class TestWorkerBlocks:
 
     def test_bad_thread_count_rejected(self):
         for threads in (0, -1):
-            with pytest.raises(m.ValidationError, match="thread count"):
+            with pytest.raises(m.ValidationError, match="^threads = -?[01] must be at least 1$"):
                 m.assurance_sweep(MATCHED, [0.05], B_outer=5, threads=threads)
+
+    @pytest.mark.parametrize("threads", [float("nan"), True, 2.5])
+    def test_thread_count_must_be_an_integer(self, threads):
+        # nan raised a bare ValueError from int(), and True ran on one worker
+        with pytest.raises(m.ValidationError, match="^threads = .* must be an integer$"):
+            m.assurance_sweep(m.MatchedTable(3, 10, 4, 12), [0.1], B_outer=4, inner_B=10,
+                              threads=threads)
 
 
 def _no_child_left():

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -93,7 +95,7 @@ class TestExitCodes:
         # and the whole grid; h >= 1 was exit 0 with the whole grid
         code, out, err = run_cli(["levelset", *TRIAL, "--method", "normal", "--h", h], capsys)
         assert (code, out) == (1, "")
-        assert err == f"minfer: error: offset h = {h} must lie in [0, 1)\n"
+        assert err == f"minfer: error: --h {h} must lie in [0, 1)\n"
 
     @pytest.mark.parametrize("argv", [
         ["analyze", *TRIAL],
@@ -129,7 +131,7 @@ class TestExitCodes:
         # was exit 0: the normal curve never read B
         code, out, err = run_cli([*argv, "--B", B], capsys)
         assert (code, out) == (1, "")
-        assert err == f"minfer: error: replicate count B = {B} must be at least 1\n"
+        assert err == f"minfer: error: --B {B} must be at least 1\n"
 
     def test_numeric_failure_is_two(self, capsys):
         # degenerate cell estimate: the normal approximation cannot run
@@ -153,7 +155,7 @@ class TestExitCodes:
         ):
             code, out, err = run_cli(argv, capsys)
             assert code == 1 and out == "", argv
-            assert err.startswith("minfer: error: master seed -"), argv
+            assert err.startswith("minfer: error: --seed -"), argv
 
     def test_negative_seed_is_one_on_normal_curves(self, capsys):
         # the normal curve draws nothing, but the seed is checked as on the bootstrap
@@ -165,7 +167,7 @@ class TestExitCodes:
         ):
             code, out, err = run_cli(argv, capsys)
             assert code == 1 and out == "", argv
-            assert err.startswith("minfer: error: master seed -1 "), argv
+            assert err == "minfer: error: --seed -1 must be at least 0\n", argv
 
 
 class TestCurve:
@@ -290,7 +292,7 @@ class TestAssure:
         monkeypatch.setenv(cli.THREADS_ENV, "0")
         code, out, err = run_cli(["assure", *TRIAL, "--h", "0.1", "--B-outer", "5"], capsys)
         assert (code, out) == (1, "")
-        assert err == f"minfer: error: {cli.THREADS_ENV}=0 must be at least 1\n"
+        assert err == f"minfer: error: {cli.THREADS_ENV} = 0 must be at least 1\n"
 
     def test_multi_h_csv(self, capsys):
         code, out, _ = run_cli(
@@ -617,3 +619,121 @@ class TestConsoleScript:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+
+
+def _numeric_options():
+    """(subcommand, option, takes a list) for every value-taking option of
+    ``build_parser()``'s subcommands, apart from choices (argparse checks
+    them) and the files ``--config`` and ``--out``."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, subparser in subparsers.choices.items():
+        for action in subparser._actions:
+            if action.nargs == 0 or action.choices or action.dest in ("config", "out"):
+                continue
+            yield command, action.option_strings[0], action.type in (cli._int_list,
+                                                                     cli._float_list)
+
+
+NUMERIC_OPTIONS = list(_numeric_options())
+
+# values outside each numeric flag's domain: below its range, nan and +-inf;
+# a flag that takes a list also gets the empty list
+OUTSIDE = {
+    "--counts": ["-1,54,24", "nan,54,24", "inf,54,24", "-inf,54,24"],
+    "--grid": ["-0.5:1:0.5", "nan:1:0.5", "0:inf:0.5", "-inf:1:0.5"],
+    "--psi": ["-0.1,0.5,0.6", "nan,0.5,0.2", "inf,0.5,0.2", "-inf,0.5,0.2"],
+    **{flag: [below, "nan", "inf", "-inf"] for flag, below in [
+        ("--seed", "-1"), ("--B", "0"), ("--B-outer", "0"), ("--inner-B", "0"),
+        ("--threads", "0"), ("--reps", "0"), ("--sizes", "0"), ("--alpha", "0"),
+        ("--h", "-0.1"), ("--tau-min", "-0.1"), ("--theta-star", "-0.1"),
+    ]},
+}
+
+# valid flags each case starts from; the flag under test replaces its own
+VALID = {
+    "analyze": {"--setting": "missing", "--counts": "32,54,24"},
+    "curve": {"--setting": "missing", "--counts": "32,54,24", "--method": "normal",
+              "--grid": "0:1:0.5"},
+    "levelset": {"--setting": "missing", "--counts": "32,54,24", "--method": "normal",
+                 "--grid": "0:1:0.5", "--alpha": "0.5"},
+    "assure": {"--setting": "missing", "--counts": "32,54,24", "--h": "0.1", "--B-outer": "5",
+               "--grid": "0:1:0.1"},
+    "test": {"--setting": "missing", "--counts": "32,54,24", "--method": "normal",
+             "--theta-star": "0.3"},
+    "simulate": {"--setting": "missing", "--psi": "0.3,0.5,0.2", "--sizes": "50",
+                 "--reps": "10", "--grid": "0:1:0.5"},
+}
+
+# analyze draws nothing, so its --seed reaches no check
+INERT = {("analyze", "--seed")}
+
+OUTSIDE_CASES = [
+    (command, flag, value)
+    for command, flag, takes_list in NUMERIC_OPTIONS if (command, flag) not in INERT
+    for value in OUTSIDE[flag] + ([","] if takes_list else [])
+]
+
+
+class TestFlagNames:
+    """Every value outside a numeric flag's domain exits 1 with a message
+    that names the flag, given as a flag or through --config."""
+
+    @pytest.mark.parametrize("command, flag, value", OUTSIDE_CASES)
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_outside_the_domain(self, capsys, tmp_path, monkeypatch, command, flag, value,
+                                given):
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        valid = {key: v for key, v in VALID[command].items() if key != flag}
+        if command == "levelset" and flag == "--h":
+            del valid["--alpha"]  # levelset takes exactly one of them
+        argv = [command, *(f"{key}={v}" for key, v in valid.items())]
+        if given == "flag":
+            argv.append(f"{flag}={value}")
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({flag[2:]: [] if value == "," else value}),
+                              encoding="utf-8")
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("minfer: error: ") and err.count("\n") == 1, err
+        assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", err), err
+
+    def test_every_checked_flag_has_a_table_entry(self):
+        # a new flag whose value reaches a library check needs a _FLAGS entry,
+        # or its errors would name the library's parameter
+        options = {flag for _, flag, _ in NUMERIC_OPTIONS}
+        assert options == set(cli._FLAGS.values())
+        assert options == set(OUTSIDE)
+        assert {command for command, _, _ in NUMERIC_OPTIONS} == set(VALID)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["levelset", *TRIAL, "--alpha", "1.5"], "--alpha 1.5 must lie in (0, 1]"),
+        (["test", *TRIAL, "--theta-star", "nan"], "--theta-star nan must lie in [0, 1]"),
+        (["simulate", "--setting", "missing", "--psi", "0.3,0.5,nan", "--sizes", "50"],
+         "--psi nan must lie in [0, 1]"),
+        (["curve", *TRIAL, "--B", "0"], "--B 0 must be at least 1"),
+        (["curve", *TRIAL, "--seed", "-1"], "--seed -1 must be at least 0"),
+        (["simulate", "--setting", "missing", "--psi", "0.3,0.5,0.2", "--sizes", "0"],
+         "--sizes 0 must be at least 1"),
+        (["curve", *TRIAL, "--grid", "0:2:0.5"], "--grid must be strictly increasing within [0, 1]"),
+        (["assure", *TRIAL, "--h", "0.3,0.1", "--tau-min", "0.5"],
+         "--h [0.3, 0.1] must be sorted ascending"),
+        (["analyze", "--setting", "matched", "--counts", "1,2,3"],
+         "--counts [1, 2, 3] must be 4 matched-data counts (nx, n1, ny, n2)"),
+        (["analyze", "--setting", "missing", "--counts=-1,2,3"], "--counts -1 is negative"),
+        (["analyze", "--setting", "missing", "--counts", "0,0,0"], "--counts must total at least 1"),
+        (["analyze", "--setting", "matched", "--counts", "5,3,2,4"],
+         "--counts nx = 5 exceeds n1 = 3"),
+        (["simulate", "--setting", "missing", "--psi", "0.3,0.3,0.3", "--sizes", "50"],
+         "--psi components sum to 0.8999999999999999, not 1"),
+    ])
+    def test_messages(self, capsys, argv, message):
+        # were "level alpha = 1.5 ...", "theta_star = nan ...", "l_plus0 = nan ...",
+        # "replicate count B = 0 ...", "master seed -1 ...", "sample sizes 0 ...",
+        # "grid '0:2:0.5' leaves [0, 1]", "candidates must be ...", "matched-data
+        # input needs 4 counts ...", "n11 = -1 is negative", "total count n must be
+        # at least 1", "nx = 5 exceeds n1 = 3" and "components sum to 0.89..., not 1"
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"minfer: error: {message}\n")

@@ -53,10 +53,34 @@ class TestDrawObserved:
 
     def test_bad_sizes_rejected(self):
         # the public bootstrap refuses to draw replicates of size 0
-        with pytest.raises(m.ValidationError, match="sample sizes"):
+        with pytest.raises(m.ValidationError, match="^sizes = 0 must be at least 1$"):
             m.corroboration_bootstrap(m.PsiMissing(0.2, 0.5, 0.3), 0, B=5)
-        with pytest.raises(m.ValidationError, match="sample sizes"):
+        with pytest.raises(m.ValidationError, match="^sizes = 0 must be at least 1$"):
             m.corroboration_bootstrap(m.PsiMatched(0.2, 0.5), (0, 5), B=5)
+
+    SIZED_CALLS = [
+        lambda sizes: m.corroboration_bootstrap(m.PsiMissing(0.3, 0.3, 0.4), sizes, B=5),
+        lambda sizes: m.corroboration_normal_curve(m.PsiMissing(0.3, 0.3, 0.4), sizes),
+        lambda sizes: m.corroboration_normal(m.PsiMissing(0.3, 0.3, 0.4), sizes, 0.3),
+        lambda sizes: bounds_batch_streams(m.PsiMissing(0.3, 0.3, 0.4), sizes, 5, 0),
+        lambda sizes: m.corroboration_bootstrap(m.PsiMatched(0.3, 0.3), (sizes, 3), B=5),
+        lambda sizes: m.corroboration_bootstrap(m.PsiMatched(0.3, 0.3), (3, sizes), B=5),
+    ]
+
+    @pytest.mark.parametrize("sizes", [2.5, 10.5, 10.0, True, np.float64(10.0), "10", None])
+    @pytest.mark.parametrize("call", range(len(SIZED_CALLS)))
+    def test_sizes_must_be_integers(self, call, sizes):
+        # fractional and bool sizes returned curves
+        with pytest.raises(m.ValidationError, match="^sizes = .* must be an integer$"):
+            self.SIZED_CALLS[call](sizes)
+
+    @pytest.mark.parametrize("sizes", [np.int64(10), np.uint16(10)])
+    @pytest.mark.parametrize("call", range(len(SIZED_CALLS)))
+    def test_numpy_integer_sizes(self, call, sizes):
+        got, want = self.SIZED_CALLS[call](sizes), self.SIZED_CALLS[call](10)
+        if isinstance(got, m.CorroborationCurve):
+            got, want = got.values, want.values
+        assert np.array_equal(got, want)
 
 
 class TestPinnedDraws:
@@ -281,9 +305,9 @@ class TestHandOff:
 class TestMasterSeedValidation:
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", True, None])
     def test_bad_seed_rejected(self, seed):
-        with pytest.raises(m.ValidationError, match="master seed"):
+        with pytest.raises(m.ValidationError, match="master_seed"):
             _replicate_counts(m.PsiMissing(0.3, 0.5, 0.2), 10, 5, seed)
-        with pytest.raises(m.ValidationError, match="master seed"):
+        with pytest.raises(m.ValidationError, match="master_seed"):
             m.ReplicateStream(seed, 0).rng()
 
     def test_bad_keys_rejected(self):
@@ -293,23 +317,23 @@ class TestMasterSeedValidation:
     def test_library_calls_raise_validation_error(self):
         psi = m.PsiMissing(0.3, 0.5, 0.2)
         data = m.MissingTable(32, 54, 24)
-        with pytest.raises(m.ValidationError, match="master seed"):
+        with pytest.raises(m.ValidationError, match="master_seed"):
             m.corroboration_bootstrap(psi, 50, B=10, master_seed=-1)
-        with pytest.raises(m.ValidationError, match="master seed"):
+        with pytest.raises(m.ValidationError, match="master_seed"):
             m.assurance_sweep(data, [0.1], B_outer=5, master_seed=-5)
-        with pytest.raises(m.ValidationError, match="master seed"):
+        with pytest.raises(m.ValidationError, match="master_seed"):
             m.assurance_of_ml_region(data, B_outer=5, master_seed=-5)
-        with pytest.raises(m.ValidationError, match="master seed"):
+        with pytest.raises(m.ValidationError, match="master_seed"):
             m.chernoff_consistency_check(psi, 0.35, [10], reps=5, master_seed=-1)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
     def test_normal_curve_checks_the_seed(self, seed):
         # as the bootstrap does, though the normal curve draws nothing
         data = m.MissingTable(32, 54, 24)
-        with pytest.raises(m.ValidationError, match="master seed"):
+        with pytest.raises(m.ValidationError, match="master_seed"):
             corroborate.corroboration_curve(m.mle_psi(data), data.n, method="normal",
                                             master_seed=seed)
-        with pytest.raises(m.ValidationError, match="master seed"):
+        with pytest.raises(m.ValidationError, match="master_seed"):
             m.corroboration_test(data, 0.3, method="normal", master_seed=seed)
 
 

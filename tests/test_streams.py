@@ -210,7 +210,7 @@ class TestReplicateCount:
 
     def calls(self, count):
         return {
-            "replicate count B": [
+            "B": [
                 lambda: m.corroboration_bootstrap(self.PSI, 110, B=count),
                 lambda: corroborate.bounds_batch_streams(self.PSI, 110, count, 0),
                 lambda: corroborate.corroboration_curve(self.PSI, 110, method="normal", B=count),

@@ -43,13 +43,15 @@ print(f"benchmark peak sits at theta = {grid[np.argmax(benchmark)]:.3f} "
 
 for k in (4, 104):
     other = m.MissingTable(32, 54, k)
-    same = m.mcar_log_lik(other, 0.4) == m.mcar_log_lik(data, 0.4)
+    same = np.array_equal(m.mcar_curve(other, grid), benchmark)
     print(f"benchmark log likelihood unchanged with {k} missing instead of 24: {same}")
 
-# Relative plausibility of selected values against theta = 0.4:
+# Relative plausibility of selected values against theta = 0.4: the ratio
+# of the two points of a standardized profile curve.
 print("\ntheta*   profile LR vs 0.4")
 for theta in (0.2, 0.3, 0.4, 0.5, 0.6):
-    print(f"{theta:5.2f}   {m.profile_lr(data, theta, 0.4):8.3f}")
+    at, ref = m.profile_curve(data, np.array([theta, 0.4]))
+    print(f"{theta:5.2f}   {at / ref:8.3f}")
 
 # ---------------------------------------------------------------------------
 # Optional picture.

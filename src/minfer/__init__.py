@@ -52,24 +52,14 @@ from .errors import (
     BoundaryTheta,
     DegenerateVariance,
     EmptyLevelSet,
-    EmptySample,
-    InconsistentTotals,
     MinferError,
-    NegativeCount,
     NoQualifyingH,
     NumericError,
     ThetaOutOfDomain,
     ValidationError,
 )
 from .identify import ThetaInterval, ml_region, theta_interval
-from .likelihood import (
-    mcar_curve,
-    mcar_log_lik,
-    profile_curve,
-    profile_log_lik,
-    profile_lr,
-    standardize,
-)
+from .likelihood import mcar_curve, profile_curve
 from .model import (
     MatchedTable,
     MissingTable,
@@ -90,13 +80,10 @@ __all__ = [
     "CorroborationCurve",
     "DegenerateVariance",
     "EmptyLevelSet",
-    "EmptySample",
-    "InconsistentTotals",
     "LevelSet",
     "MatchedTable",
     "MinferError",
     "MissingTable",
-    "NegativeCount",
     "NoQualifyingH",
     "NumericError",
     "ObservedTable",
@@ -120,15 +107,11 @@ __all__ = [
     "level_set",
     "max_corroboration_set",
     "mcar_curve",
-    "mcar_log_lik",
     "ml_region",
     "mle_psi",
     "profile_curve",
-    "profile_log_lik",
-    "profile_lr",
     "reports_to_csv",
     "select_h",
-    "standardize",
     "theta_interval",
     "validate",
 ]

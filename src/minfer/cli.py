@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``analyze``  — MLE, plug-in region, and likelihood summaries for one table.
+* ``analyze``  — MLE, plug-in region, and likelihood summaries for one table;
+                 it draws nothing, so it accepts ``--seed`` and ignores it.
 * ``curve``    — corroboration curve CSV (plus standardized profile and
                  independence-benchmark likelihood columns for missing data).
 * ``levelset`` — one corroboration level set (by level alpha or offset h).
@@ -39,6 +40,8 @@ from .model import SETTINGS, MissingTable, ObservedTable, mle_psi, validate
 
 THREADS_ENV = "MINFER_THREADS"
 GRID = "0:1:0.001"
+# the most points a --grid may have, checked before the grid is built
+GRID_MAX_POINTS = 10**7
 
 # the flag that sets each library parameter a check names ((subcommand, name) first)
 _FLAGS = {
@@ -91,7 +94,11 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"--grid step must be positive, got {step}")
     if stop < start:
         raise ValidationError(f"--grid stop {stop} is below start {start}")
-    count = int(np.floor((stop - start) / step + 0.5)) + 1
+    # the grid has floor(span) + 1 points; an infinite span fails the cap too
+    span = (stop - start) / step + 0.5
+    if not span < GRID_MAX_POINTS:
+        raise ValidationError(f"--grid expects at most {GRID_MAX_POINTS} points, got {spec!r}")
+    count = int(np.floor(span)) + 1
     grid = start + step * np.arange(count)
     if abs(grid[-1] - stop) < step * 1e-6:
         grid[-1] = stop

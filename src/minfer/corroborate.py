@@ -54,7 +54,6 @@ every replicate's sets with the same routine, for all offsets at once.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -163,11 +162,6 @@ class CorroborationCurve:
     def to_csv(self, destination: str | os.PathLike | IO[str]) -> None:
         """Write ``theta,corroboration`` rows with 6 decimal places."""
         write_csv(destination, ("theta", "corroboration"), zip(self.grid, self.values))
-
-    def to_csv_text(self) -> str:
-        buffer = io.StringIO()
-        self.to_csv(buffer)
-        return buffer.getvalue()
 
 
 @dataclass(frozen=True)

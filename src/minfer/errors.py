@@ -1,19 +1,23 @@
 """Exception hierarchy, and the one checker of each input quantity.
 
-``ValidationError`` subclasses signal bad user input (CLI exit code 1);
-``NumericError`` subclasses signal a computation that cannot proceed
-(CLI exit code 2). Domain outcomes that are not failures of the caller,
-such as an empty level set, derive from ``MinferError`` directly.
+``ValidationError`` and its subclasses signal bad user input (CLI exit
+code 1); ``NumericError`` subclasses signal a computation that cannot
+proceed (CLI exit code 2). Domain outcomes that are not failures of the
+caller, such as an empty level set, derive from ``MinferError`` directly.
 
 The library entry points call the checkers below; an error they raise
 names the parameter, its value and the rule, so the CLI can name the
 flag that set it. Counts and sample sizes are integers >= 1, seeds >= 0
 (numpy integers are integers, bool is not), and NaN fails every range.
+Sample sizes end at ``MAX_SIZE`` = 2**63 - 1, the int64 range numpy's
+samplers take.
 """
 
 import numbers
 
 import numpy as np
+
+MAX_SIZE = 2**63 - 1
 
 
 class MinferError(Exception):
@@ -26,18 +30,6 @@ class ValidationError(MinferError, ValueError):
     name: str | None = None
     value: object = None
     rule: str | None = None
-
-
-class NegativeCount(ValidationError):
-    """A cell count is negative."""
-
-
-class InconsistentTotals(ValidationError):
-    """Margin counts exceed their sample sizes (nx > n1 or ny > n2)."""
-
-
-class EmptySample(ValidationError):
-    """A sample size is zero."""
 
 
 class ThetaOutOfDomain(ValidationError):
@@ -90,7 +82,8 @@ def _check_seed(value, name: str = "master_seed") -> int:
 def _check_sizes(sizes, name: str = "sizes") -> None:
     # n, or a pair (n1, n2)
     for n in sizes if np.ndim(sizes) else (sizes,):
-        _check_count(n, name)
+        if _check_count(n, name) > MAX_SIZE:
+            raise _invalid(ValidationError, name, n, f"must be at most {MAX_SIZE}")
 
 
 def _check_theta(theta, name: str = "theta") -> np.ndarray:

@@ -19,14 +19,12 @@ likelihood product would underflow. Convention: a zero count contributes
 zero regardless of its cell probability; a positive count on a zero
 probability gives -inf.
 
-The point-identifying benchmark ``mcar_log_lik`` is the binomial likelihood
-``n11*log(theta) + n01*log(1 - theta)`` obtained when response is
-independent of the outcome; it ignores n_plus0 entirely.
+The point-identifying benchmark behind ``mcar_curve`` is the binomial
+likelihood ``n11*log(theta) + n01*log(1 - theta)`` obtained when response
+is independent of the outcome; it ignores n_plus0 entirely.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -69,24 +67,8 @@ def _mcar_log_liks(data: MissingTable, theta: np.ndarray) -> np.ndarray:
     return _cell_term(data.n11, theta) + _cell_term(data.n01, 1.0 - theta)
 
 
-def profile_log_lik(data: MissingTable, theta: float) -> float:
-    """Log profile likelihood of theta (closed form, up to the constant
-    multinomial coefficient)."""
-    return float(_profile_log_liks(data, _check_theta(theta))[0])
-
-
-def mcar_log_lik(data: MissingTable, theta: float) -> float:
-    """Binomial log likelihood under outcome-independent response."""
-    return float(_mcar_log_liks(data, _check_theta(theta))[0])
-
-
-def profile_lr(data: MissingTable, theta_star: float, theta_ref: float) -> float:
-    """Profile likelihood ratio of theta_star against theta_ref."""
-    return math.exp(profile_log_lik(data, theta_star) - profile_log_lik(data, theta_ref))
-
-
-def standardize(log_liks: np.ndarray) -> np.ndarray:
-    """Rescale log likelihoods on a grid so the maximum becomes 1."""
+def _standardize(log_liks: np.ndarray) -> np.ndarray:
+    # rescale log likelihoods on a grid so the maximum becomes 1
     log_liks = np.asarray(log_liks, dtype=float)
     peak = np.max(log_liks)
     if not np.isfinite(peak):
@@ -96,10 +78,10 @@ def standardize(log_liks: np.ndarray) -> np.ndarray:
 
 def profile_curve(data: MissingTable, grid: np.ndarray) -> np.ndarray:
     """Standardized profile likelihood over a theta grid (peak value 1)."""
-    return standardize(_profile_log_liks(data, _check_theta(grid)))
+    return _standardize(_profile_log_liks(data, _check_theta(grid)))
 
 
 def mcar_curve(data: MissingTable, grid: np.ndarray) -> np.ndarray:
     """Standardized benchmark likelihood over a theta grid (peak value 1)."""
-    return standardize(_mcar_log_liks(data, _check_theta(grid)))
+    return _standardize(_mcar_log_liks(data, _check_theta(grid)))
 

@@ -25,7 +25,8 @@ streams at once (see ``sampling._replicate_counts``), composing
 multinomial as numpy's ``random_multinomial``, the two margins one after
 the other on the same stream.
 
-Counts are exact integers; estimated probabilities are double precision.
+Counts are exact integers, and a table's sample sizes lie in
+[1, ``errors.MAX_SIZE``]; estimated probabilities are double precision.
 Degenerate tables (zero cells) are accepted here and handled downstream.
 All types are immutable and safe to share across threads.
 """
@@ -39,8 +40,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._binomial import _binomial_draws, _binomial_streams
-from .errors import (EmptySample, InconsistentTotals, NegativeCount, ValidationError,
-                     _check_probability, _invalid)
+from .errors import MAX_SIZE, ValidationError, _check_probability, _invalid
 
 SIMPLEX_TOL = 1e-12
 
@@ -48,10 +48,15 @@ SIMPLEX_TOL = 1e-12
 def _coerce_counts(obj: object, names: Sequence[str]) -> None:
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or value != int(value):
+        try:
+            whole = not isinstance(value, bool) and value == int(value)
+        except (TypeError, ValueError, OverflowError):
+            # NaN, an infinity or no number at all
+            whole = False
+        if not whole:
             raise _invalid(ValidationError, name, repr(value), "must be an integer")
         if value < 0:
-            raise _invalid(NegativeCount, name, value, "is negative")
+            raise _invalid(ValidationError, name, value, "is negative")
         object.__setattr__(obj, name, int(value))
 
 
@@ -206,7 +211,9 @@ class MissingTable:
     def __post_init__(self) -> None:
         _coerce_counts(self, ("n11", "n01", "n_plus0"))
         if self.n == 0:
-            raise _invalid(EmptySample, "counts", None, "must total at least 1")
+            raise _invalid(ValidationError, "counts", None, "must total at least 1")
+        if self.n > MAX_SIZE:
+            raise _invalid(ValidationError, "counts", None, f"must total at most {MAX_SIZE}")
 
     @property
     def n(self) -> int:
@@ -236,11 +243,13 @@ class MatchedTable:
     def __post_init__(self) -> None:
         _coerce_counts(self, ("nx", "n1", "ny", "n2"))
         if self.n1 == 0 or self.n2 == 0:
-            raise _invalid(EmptySample, "counts", None, "must have n1 and n2 at least 1")
+            raise _invalid(ValidationError, "counts", None, "must have n1 and n2 at least 1")
+        if max(self.n1, self.n2) > MAX_SIZE:
+            raise _invalid(ValidationError, "counts", None, f"must have n1 and n2 at most {MAX_SIZE}")
         if self.nx > self.n1:
-            raise _invalid(InconsistentTotals, "counts", None, f"nx = {self.nx} exceeds n1 = {self.n1}")
+            raise _invalid(ValidationError, "counts", None, f"nx = {self.nx} exceeds n1 = {self.n1}")
         if self.ny > self.n2:
-            raise _invalid(InconsistentTotals, "counts", None, f"ny = {self.ny} exceeds n2 = {self.n2}")
+            raise _invalid(ValidationError, "counts", None, f"ny = {self.ny} exceeds n2 = {self.n2}")
 
     @property
     def sizes(self) -> tuple[int, int]:

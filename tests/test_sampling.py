@@ -74,6 +74,18 @@ class TestDrawObserved:
         with pytest.raises(m.ValidationError, match="^sizes = .* must be an integer$"):
             self.SIZED_CALLS[call](sizes)
 
+    @pytest.mark.parametrize("sizes", [2**63, 10**20])
+    @pytest.mark.parametrize("call", range(len(SIZED_CALLS)))
+    def test_sizes_past_int64_rejected(self, call, sizes):
+        # the draws raised OverflowError, and the normal curves returned values
+        with pytest.raises(m.ValidationError,
+                           match=f"^sizes = {sizes} must be at most {2**63 - 1}$"):
+            self.SIZED_CALLS[call](sizes)
+
+    @pytest.mark.parametrize("call", range(len(SIZED_CALLS)))
+    def test_largest_int64_size_accepted(self, call):
+        self.SIZED_CALLS[call](2**63 - 1)
+
     @pytest.mark.parametrize("sizes", [np.int64(10), np.uint16(10)])
     @pytest.mark.parametrize("call", range(len(SIZED_CALLS)))
     def test_numpy_integer_sizes(self, call, sizes):

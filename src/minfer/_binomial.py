@@ -53,12 +53,13 @@ replicate with numpy itself. Arrays keep the batch's shape; see
 Exactness assumes numpy's C code rounds every product and sum on its own.
 Several BTPE expressions have a multiply-add shape (fm = n·r + r,
 xm - p1·v + u, v·c + 1.0) that a compiler may fuse on FMA hardware,
-rounding them differently. It is verified on x86-64 numpy wheels only,
-so on any other ``platform.machine()`` (``_EXACT``) ``_binomial_draws``
-hands every batch to ``rng.binomial`` and ``_binomial_streams`` settles
-no stream. ``tests/test_streams.py`` and ``tests/test_binomial.py`` run
-the kernel itself on any machine against numpy, bit for bit, so they
-show where the gate can widen. The module is private, like ``_normal``.
+rounding them differently, and numpy may change its samplers between
+releases (NEP 19). It is verified on x86-64 builds of numpy 2.4 only, so
+on any other ``platform.machine()`` or numpy release (``_EXACT``)
+``_binomial_draws`` hands every batch to ``rng.binomial`` and
+``_binomial_streams`` settles no stream. ``tests/test_streams.py`` and
+``tests/test_binomial.py`` run the kernel itself on any machine against
+numpy, bit for bit, so they show where the gate can widen. The module is private, like ``_normal``.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ _MARGIN = 1e-12
 # a power of two, so u·K and the bucket edges j/K are exact
 _BUCKETS = 1024
 _INTEGERS = (int, np.integer)
-# exactness is verified on these machines' numpy builds only
-_EXACT = platform.machine() in ("x86_64", "AMD64")
+# exactness is verified on x86-64 builds of numpy 2.4 only
+_EXACT = (platform.machine() in ("x86_64", "AMD64")
+          and np.__version__.split(".")[:2] == ["2", "4"])
 
 
 def _walk_sums(n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -35,16 +35,17 @@ every time and the tally is the honest signal of that regime.
 
 Each outer replicate draws only from its own stream, so the report does
 not depend on how replicates are scheduled. The batch is drawn in the
-calling process, before any fork, with the state each replicate's stream
-is left at. With the normal inner curve, each distinct table's curve and
-sets are computed once and scattered to every replicate that drew it; a
-table whose curve raises ``DegenerateVariance`` sends each of its
-replicates to a nested bootstrap on its own stream (``fallback_count``).
+calling process, before any fork. With the normal inner curve, each
+distinct table's curve and sets are computed once and scattered to every
+replicate that drew it; a table whose curve raises ``DegenerateVariance``
+sends each of its replicates to a nested bootstrap (``fallback_count``).
 With a nested-bootstrap inner curve (matched data, or
-``inner_method="bootstrap"``) the replicates are split into contiguous
-blocks, min(``threads``, B_outer, usable CPUs) of them, and each block
-after the first runs in a forked worker process while the calling
-process runs the first. The blocks write their own columns of arrays on
+``inner_method="bootstrap"``) every replicate runs one, going on from its
+stream: its outer draw is replayed (``sampling._replayed``). The
+replicates that run one are split into contiguous blocks, min(``threads``,
+their number, usable CPUs) of them, and each block after the first runs
+in a forked worker process while the calling process runs the first; no
+such replicate, no fork. The blocks write their own columns of arrays on
 shared anonymous memory, so nothing is sent back; a worker that fails
 has its block rerun in the calling process, which raises what a serial
 run raises. Where ``os.fork`` does not exist the blocks run one after
@@ -73,10 +74,11 @@ from .corroborate import (
     write_csv,
 )
 from .errors import (DegenerateVariance, NoQualifyingH, ValidationError, _check_count,
-                     _check_grid, _check_offset, _check_probability, _invalid)
+                     _check_grid, _check_offset, _check_probability, _check_replicates,
+                     _invalid)
 from .identify import ThetaInterval, ml_region
 from .model import ObservedTable, mle_psi
-from .sampling import _generator, _replicate_counts
+from .sampling import _replayed, _replicate_counts, _state_words
 
 DEFAULT_INNER_B = 1000
 
@@ -132,13 +134,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blocks(B_outer: int, threads: int) -> list[range]:
-    """Replicate indices 0..B_outer-1 in contiguous blocks, one per worker:
-    min(threads, B_outer, usable CPUs) of them, sizes differing by at most
-    1; one block where the process cannot fork."""
-    workers = min(int(threads), B_outer, _usable_cpus()) if hasattr(os, "fork") else 1
-    edges = [B_outer * w // workers for w in range(workers + 1)]
-    return [range(a, b) for a, b in zip(edges, edges[1:])]
+def _blocks(replicates: np.ndarray, threads: int) -> list[np.ndarray]:
+    """``replicates`` in contiguous blocks, one per worker: min(threads,
+    replicates, usable CPUs) of them, sizes differing by at most 1; one
+    block where there is no replicate or the process cannot fork."""
+    workers = min(int(threads), replicates.size, _usable_cpus()) if hasattr(os, "fork") else 1
+    return np.array_split(replicates, max(workers, 1))
 
 
 def _shared(shape: tuple[int, ...], dtype: type) -> np.ndarray:
@@ -148,7 +149,7 @@ def _shared(shape: tuple[int, ...], dtype: type) -> np.ndarray:
     return np.frombuffer(buffer, dtype).reshape(shape)
 
 
-def _fork_block(run_block: Callable[[range], None], block: range) -> int:
+def _fork_block(run_block: Callable[[np.ndarray], None], block: np.ndarray) -> int:
     """Pid of a forked worker that runs ``run_block(block)`` and exits 0,
     or 1 on any exception, without returning into the caller's frames,
     flushing inherited stdio buffers or printing."""
@@ -172,13 +173,13 @@ def _fork_block(run_block: Callable[[range], None], block: range) -> int:
         os._exit(code)
 
 
-def _run_blocks(run_block: Callable[[range], None], blocks: list[range]) -> None:
+def _run_blocks(run_block: Callable[[np.ndarray], None], blocks: list[np.ndarray]) -> None:
     """``run_block`` on each block: the first in this process, each other
     in a forked worker, all reaped before this returns or raises. A block
     whose worker fails is rerun here; blocks are deterministic, so the
     lowest failing block raises what a serial run raises."""
-    workers: dict[int, range] = {}
-    failed: list[range] = []
+    workers: dict[int, np.ndarray] = {}
+    failed: list[np.ndarray] = []
     try:
         for block in blocks[1:]:
             try:
@@ -201,7 +202,7 @@ def _run_blocks(run_block: Callable[[range], None], blocks: list[range]) -> None
                 os.kill(pid, signal.SIGKILL)
             for pid in workers:
                 os.waitpid(pid, 0)
-    for block in sorted(failed, key=lambda block: block.start):
+    for block in sorted(failed, key=lambda block: block[0]):
         run_block(block)
 
 
@@ -217,18 +218,18 @@ def assurance_sweep(
 ) -> list[AssuranceReport]:
     """Assurance reports for several offsets h from one shared outer
     bootstrap (common random numbers across the h values). ``threads``
-    caps the worker processes of a nested-bootstrap inner curve (see
-    module docs); the reports do not depend on it."""
+    caps the worker processes of the replicates that run a nested
+    bootstrap (see module docs); the reports do not depend on it."""
     hs = [float(h) for h in h_list]
     if not hs:
         raise ValidationError("h_list must be nonempty")
     for h in hs:
         _check_offset(h)
-    B_outer = _check_count(B_outer, "B_outer")
+    B_outer = _check_replicates(B_outer, "B_outer")
     threads = _check_count(threads, "threads")
     psi_hat = mle_psi(data)
     inner_method = corroboration_method(psi_hat, inner_method)
-    inner_B = _check_count(inner_B, "inner_B")
+    inner_B = _check_replicates(inner_B, "inner_B")
     grid = _as_grid(grid)
     _check_grid(grid)
     sizes = data.sizes
@@ -239,22 +240,24 @@ def assurance_sweep(
             f"[{region_hat.lower}, {region_hat.upper}]"
         )
 
-    # the outer tables and the PCG64 state each replicate's stream is left at
-    counts, states = _replicate_counts(psi_hat, sizes, B_outer, master_seed)
+    counts = _replicate_counts(psi_hat, sizes, B_outer, master_seed)
     # forked blocks write their own columns of these two
     lower = _shared((len(hs), B_outer), np.float64)
     upper = _shared((len(hs), B_outer), np.float64)
     h_arr = np.asarray(hs)
 
-    def run_block(block: Sequence[int]) -> None:
-        # a nested-bootstrap curve goes on drawing from each replicate's stream
-        for b in block:
+    def run_block(block: np.ndarray) -> None:
+        # a nested-bootstrap curve goes on drawing from each replicate's
+        # stream, after its outer draw is replayed (see module docs)
+        for b, words in zip(block.tolist(), _state_words(master_seed, block.astype(np.uint64))):
+            rng = _replayed(psi_hat, sizes, words)[1]
             psi_b = psi_hat.from_cells(counts[:, b].tolist(), sizes)
-            rng = _generator(*states[:, b].tolist())
             lo_b, up_b = bounds_batch_from_rng(psi_b, sizes, inner_B, rng)
             lower[:, b], upper[:, b] = _max_sets(coverage_share(lo_b, up_b, grid), grid, h_arr,
                                                  _tie_epsilon(inner_B))
 
+    # the replicates whose inner curve is a nested bootstrap
+    nested = np.ones(B_outer, dtype=bool)
     if inner_method == "normal":
         # a normal curve depends on the table alone: one per distinct table,
         # its sets scattered to every replicate that drew it
@@ -269,20 +272,18 @@ def assurance_sweep(
             else:
                 sets[t] = _max_sets(curve.values, grid, h_arr, _tie_epsilon(None))
         lower[:], upper[:] = sets[inverse].transpose(1, 2, 0)
-        fallbacks = degenerate[inverse]
-        run_block(np.flatnonzero(fallbacks).tolist())
-    else:
-        fallbacks = np.zeros(B_outer, dtype=bool)
-        _run_blocks(run_block, _blocks(B_outer, threads))
+        nested = degenerate[inverse]
+    _run_blocks(run_block, _blocks(np.flatnonzero(nested), threads))
+    fallbacks = int(np.count_nonzero(nested)) if inner_method == "normal" else 0
 
     return [
         _report(
             region_hat, lower[i], upper[i],
             h=h,
             inner_method=inner_method,
-            inner_B=inner_B if inner_method == "bootstrap" or fallbacks.any() else None,
+            inner_B=inner_B if inner_method == "bootstrap" or fallbacks else None,
             master_seed=master_seed,
-            fallback_count=int(np.count_nonzero(fallbacks)),
+            fallback_count=fallbacks,
         )
         for i, h in enumerate(hs)
     ]
@@ -295,7 +296,7 @@ def assurance_of_ml_region(
 ) -> AssuranceReport:
     """Assurance of the plug-in region itself: each replicate's set is its
     own plug-in region, no inner curve involved."""
-    B_outer = _check_count(B_outer, "B_outer")
+    B_outer = _check_replicates(B_outer, "B_outer")
     region_hat = ml_region(data)
     lo, up = bounds_batch_streams(mle_psi(data), data.sizes, B_outer, master_seed)
     return _report(

@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, astuple, fields
 from typing import IO, Iterator, Sequence
@@ -38,7 +37,6 @@ from .errors import EmptyLevelSet, MinferError, NoQualifyingH, ValidationError, 
 from .identify import ml_region
 from .model import SETTINGS, MissingTable, ObservedTable, mle_psi, validate
 
-THREADS_ENV = "MINFER_THREADS"
 GRID = "0:1:0.001"
 # the most points a --grid may have, checked before the grid is built
 GRID_MAX_POINTS = 10**7
@@ -145,18 +143,6 @@ def _config_tokens(args: argparse.Namespace, config: dict) -> list[str]:
     return tokens
 
 
-def _threads(value: int | None) -> int:
-    # the flag (a --config value arrives as one), then the environment, else 1
-    if value is not None:
-        return _check_count(value, "threads")
-    env = os.environ.get(THREADS_ENV, "1")
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ValidationError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-    return _check_count(value, THREADS_ENV)
-
-
 def _table_from_args(args: argparse.Namespace) -> ObservedTable:
     if args.setting is None:
         raise ValidationError("--setting is required (missing or matched)")
@@ -251,7 +237,8 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
 
 def _cmd_assure(args: argparse.Namespace) -> int:
     data = _table_from_args(args)
-    threads = _threads(args.threads)
+    # checked before the --ml-region branch, which does not read it
+    _check_count(args.threads, "threads")
     if args.ml_region:
         report = assure_mod.assurance_of_ml_region(
             data, B_outer=args.B_outer, master_seed=args.seed
@@ -268,7 +255,7 @@ def _cmd_assure(args: argparse.Namespace) -> int:
         inner_B=args.inner_B,
         master_seed=args.seed,
         grid=grid,
-        threads=threads,
+        threads=args.threads,
     )
     if args.tau_min is not None:
         chosen, report = assure_mod.select_h(data, float(args.tau_min), args.h, **kwargs)
@@ -372,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick the largest h whose assurance reaches this level")
     p.add_argument("--ml-region", dest="ml_region", action="store_true",
                    help="assurance of the plug-in region itself")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker processes for nested-bootstrap replicates; output "
-                   f"does not depend on it (env {THREADS_ENV}, default 1)")
+                   "does not depend on it (default 1)")
     p.set_defaults(func=_cmd_assure)
 
     p = sub.add_parser("test", help="corroboration test")

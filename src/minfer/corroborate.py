@@ -62,8 +62,8 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 
 from ._normal import _bvn_cover, _ndtr_pair
-from .errors import (DegenerateVariance, EmptyLevelSet, ValidationError, _check_count,
-                     _check_grid, _check_offset, _check_probability, _check_seed,
+from .errors import (DegenerateVariance, EmptyLevelSet, ValidationError, _check_grid,
+                     _check_offset, _check_probability, _check_replicates, _check_seed,
                      _check_sizes, _check_theta)
 from .identify import ThetaInterval, theta_interval
 from .model import Psi, PsiMissing
@@ -142,7 +142,7 @@ class CorroborationCurve:
         if self.method not in ("bootstrap", "normal"):
             raise ValidationError(f"unknown method {self.method!r}")
         if self.method == "bootstrap":
-            _check_count(self.B, "B")
+            _check_replicates(self.B, "B")
             lattice = values * self.B
             if np.max(np.abs(lattice - np.round(lattice))) > 1e-6:
                 raise ValidationError("bootstrap values must be multiples of 1/B")
@@ -177,7 +177,7 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
     """Plug-in interval bounds (L, U) of B replicate tables drawn at psi,
     one independent stream per replicate (spawn keys 0..B-1), as read-only
     arrays; the last batch is kept (see module docs)."""
-    B = _check_count(B, "B")
+    B = _check_replicates(B, "B")
     _check_sizes(sizes)
     # list or array sizes become a tuple, which can key the memo
     return _bounds_batch(psi, sizes if np.ndim(sizes) == 0 else tuple(sizes), B, master_seed)
@@ -186,7 +186,7 @@ def bounds_batch_streams(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tu
 # typed: a bool seed or size is not served the batch of an equal int
 @functools.lru_cache(maxsize=1, typed=True)
 def _bounds_batch(psi: Psi, sizes: Sizes, B: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    counts, _ = _replicate_counts(psi, sizes, B, master_seed)
+    counts = _replicate_counts(psi, sizes, B, master_seed)
     bounds = psi.plug_in(counts, sizes)
     for bound in bounds:
         bound.flags.writeable = False
@@ -225,7 +225,7 @@ def corroboration_bootstrap(
     the share of intervals covering each grid point. The same replicates
     serve the whole grid.
     """
-    B = _check_count(B, "B")
+    B = _check_replicates(B, "B")
     grid = _as_grid(grid)
     lower, upper = bounds_batch_streams(psi, sizes, B, master_seed)
     values = coverage_share(lower, upper, grid)
@@ -291,7 +291,7 @@ def corroboration_curve(
     replicates spawned from ``master_seed``. B and the seed are checked
     whatever the method, and the grid before any replicate is drawn (see
     module docs)."""
-    B = _check_count(B, "B")
+    B = _check_replicates(B, "B")
     _check_seed(master_seed)
     grid = _as_grid(grid)
     _check_grid(grid)

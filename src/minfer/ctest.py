@@ -33,7 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .corroborate import bounds_batch_streams, corroboration_curve, corroboration_method
-from .errors import BoundaryTheta, _check_count, _check_seed, _check_theta
+from .errors import BoundaryTheta, _check_count, _check_replicates, _check_seed, _check_theta
 from .identify import ml_region, theta_interval
 from .model import ObservedTable, Psi, mle_psi
 from .sampling import _state_words
@@ -73,7 +73,7 @@ def corroboration_tests(
     on the distinct theta_stars (see module docs); an empty list, once
     every argument is checked, gives no result."""
     _check_theta(theta_stars, "theta_star")
-    _check_count(B, "B")
+    _check_replicates(B, "B")
     _check_seed(master_seed)
     psi_hat = mle_psi(data)
     method = corroboration_method(psi_hat, method)
@@ -139,7 +139,7 @@ def chernoff_consistency_check(
     region at psi0; rates then drift to 0 or 1 respectively.
     """
     _check_theta(theta_star, "theta_star")
-    reps = _check_count(reps, "reps")
+    reps = _check_replicates(reps, "reps")
     region0 = theta_interval(psi0)
     if theta_star == region0.lower or theta_star == region0.upper:
         raise BoundaryTheta(

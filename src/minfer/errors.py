@@ -10,7 +10,8 @@ names the parameter, its value and the rule, so the CLI can name the
 flag that set it. Counts and sample sizes are integers >= 1, seeds >= 0
 (numpy integers are integers, bool is not), and NaN fails every range.
 Sample sizes end at ``MAX_SIZE`` = 2**63 - 1, the int64 range numpy's
-samplers take.
+samplers take, and replicate counts at 2**32, the indices one 32-bit
+spawn word holds.
 """
 
 import numbers
@@ -74,6 +75,14 @@ def _check_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def _check_replicates(value, name: str) -> int:
+    # a replicate count: replicate b's stream is spawned with the 32-bit word b
+    count = _check_count(value, name)
+    if count > 2**32:
+        raise _invalid(ValidationError, name, value, f"must be at most {2**32}")
+    return count
+
+
 def _check_seed(value, name: str = "master_seed") -> int:
     # a master seed, or a replicate's spawn index
     return _check_count(value, name, least=0)
@@ -81,6 +90,8 @@ def _check_seed(value, name: str = "master_seed") -> int:
 
 def _check_sizes(sizes, name: str = "sizes") -> None:
     # n, or a pair (n1, n2)
+    if np.ndim(sizes) and np.shape(sizes) != (2,):
+        raise _invalid(ValidationError, name, sizes, "must be n or a pair (n1, n2)")
     for n in sizes if np.ndim(sizes) else (sizes,):
         if _check_count(n, name) > MAX_SIZE:
             raise _invalid(ValidationError, name, n, f"must be at most {MAX_SIZE}")

@@ -68,9 +68,10 @@ def _mcar_log_liks(data: MissingTable, theta: np.ndarray) -> np.ndarray:
 
 
 def _standardize(log_liks: np.ndarray) -> np.ndarray:
-    # rescale log likelihoods on a grid so the maximum becomes 1
+    # rescale log likelihoods on a grid so the maximum becomes 1; an empty
+    # grid gives an empty curve
     log_liks = np.asarray(log_liks, dtype=float)
-    peak = np.max(log_liks)
+    peak = np.max(log_liks, initial=-np.inf)
     if not np.isfinite(peak):
         return np.zeros_like(log_liks)
     return np.exp(log_liks - peak)

@@ -23,12 +23,12 @@ and key first, so a bad one is a ValidationError.
 arrays, and ``draw_streams`` on the parameter type (see ``model`` and
 ``_binomial``) makes numpy's binomial or multinomial draw on every
 stream, the draw ``draw`` on the parameter type makes on one generator.
-The few replicates that pass cannot settle exactly are drawn by numpy on
-generators seeded with their words (``_Seed``). Streams are stepped in
-chunks of ``_CHUNK``, so a batch's working memory does not grow with B.
-With the counts come the replicates' PCG64 states after their draws, and
-``_generator`` gives numpy's generator at one of them, for a replicate
-that goes on drawing (the assurance sweep's nested bootstrap).
+Streams are stepped in chunks of ``_CHUNK``, so a batch's working memory
+does not grow with B. ``_replayed`` draws one replicate by numpy on the
+generator its words seed: the few replicates that pass cannot settle
+exactly, and a replicate that goes on drawing (the assurance sweep's
+nested bootstrap), whose replayed draw leaves the generator where its
+stream stands after its table.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ValidationError, _check_seed
+from .errors import _check_seed
 from .model import Psi
 
 
@@ -225,19 +225,13 @@ class _Seed(ISeedSequence):
         return self.words
 
 
-# pcg64_set_seed sets inc = 2·words[2:4] + 1 and reaches state (seed + inc)·M +
-# inc from seed = words[0:2], so seed = (state - inc)·M⁻¹ - inc mod 2**128
-_MULT_INVERSE = pow(_PCG_MULT, -1, 1 << 128)
-
-
-def _generator(hi: int, lo: int, inc_hi: int, inc_lo: int) -> np.random.Generator:
-    """numpy's generator at PCG64 state hi·2**64 + lo with the odd increment
-    inc_hi·2**64 + inc_lo, seeded with the words that reach that state:
-    cheaper than setting ``bit_generator.state`` on a new PCG64."""
-    inc = int(inc_hi) << 64 | int(inc_lo)
-    seed = ((int(hi) << 64 | int(lo)) - inc) * _MULT_INVERSE - inc
-    words = [seed >> 64 & _MASK64, seed & _MASK64, inc >> 65, inc >> 1 & _MASK64]
-    return np.random.Generator(np.random.PCG64(_Seed(np.array(words, dtype=np.uint64))))
+def _replayed(psi: Psi, sizes: int | tuple[int, int],
+              words: np.ndarray) -> tuple[np.ndarray, np.random.Generator]:
+    """One replicate's cells ``psi.draw(rng, sizes)``, drawn by numpy on the
+    generator its seed words seed, and that generator after the draw: the
+    stream a replicate that goes on drawing continues on."""
+    rng = np.random.Generator(np.random.PCG64(_Seed(words)))
+    return psi.draw(rng, sizes), rng
 
 
 @dataclass(frozen=True)
@@ -258,30 +252,18 @@ class ReplicateStream:
 
 
 def _replicate_counts(psi: Psi, sizes: int | tuple[int, int], B: int,
-                      master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of replicates 0..B-1 drawn at psi, one row per cell, and each
-    replicate's PCG64 state after its draw, rows ``hi, lo, inc_hi,
-    inc_lo`` (uint64): replicate b's cells are ``psi.draw(rng, sizes)`` on
-    ``rng = ReplicateStream(master_seed, b).rng()``, bit for bit, and
-    ``_generator(*states[:, b])`` is that rng after the draw (see module
-    docs). Every index must lie below 2**32 (one spawn word)."""
-    if B > 1 << 32:
-        raise ValidationError(f"replicate indices 0..{B - 1} must lie below 2**32")
+                      master_seed: int) -> np.ndarray:
+    """Cells of replicates 0..B-1 drawn at psi, one row per cell: replicate
+    b's cells are ``psi.draw(rng, sizes)`` on ``rng = ReplicateStream(
+    master_seed, b).rng()``, bit for bit (see module docs). B is a checked
+    replicate count, so every index fits one 32-bit spawn word."""
     counts = None
-    states = np.empty((4, B), dtype=np.uint64)
     for start in range(0, B, _CHUNK):
         words = _state_words(master_seed, np.arange(start, min(start + _CHUNK, B), dtype=np.uint64))
-        streams = _Streams(words)
-        cells, settled = psi.draw_streams(streams, sizes)
+        cells, settled = psi.draw_streams(_Streams(words), sizes)
         if counts is None:
             counts = np.empty((len(cells), B), dtype=np.int64)
-        stop = start + len(words)
-        counts[:, start:stop] = cells
-        states[:, start:stop] = streams.hi, streams.lo, streams.inc_hi, streams.inc_lo
+        counts[:, start:start + len(words)] = cells
         for b in np.flatnonzero(~settled).tolist():
-            rng = np.random.Generator(np.random.PCG64(_Seed(words[b])))
-            counts[:, start + b] = psi.draw(rng, sizes)
-            state = rng.bit_generator.state["state"]
-            states[:, start + b] = (state["state"] >> 64, state["state"] & _MASK64,
-                                    state["inc"] >> 64, state["inc"] & _MASK64)
-    return counts, states
+            counts[:, start + b] = _replayed(psi, sizes, words[b])[0]
+    return counts

@@ -144,6 +144,20 @@ def four_cpus(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """The replicate blocks handed to forked workers, in order."""
+    blocks = []
+    fork_block = assure._fork_block
+
+    def recording(run_block, block):
+        blocks.append(block.tolist())
+        return fork_block(run_block, block)
+
+    monkeypatch.setattr(assure, "_fork_block", recording)
+    return blocks
+
+
 class TestWorkerBlocks:
     """Threaded sweeps against the serial run, compared with ``==``."""
 
@@ -162,12 +176,31 @@ class TestWorkerBlocks:
         assert m.assurance_sweep(trial, [0.0, 0.05], threads=3, **kwargs) == serial
         assert four_cpus == [1, 3]
 
-    def test_normal_inner_stays_one_block(self, trial, four_cpus):
+    def test_normal_inner_stays_one_block(self, trial, four_cpus, forked):
         kwargs = dict(B_outer=40, master_seed=14, grid=COARSE_GRID)
         serial = m.assurance_sweep(trial, [0.0, 0.05], threads=1, **kwargs)
-        assert m.assurance_sweep(trial, [0.0, 0.05], threads=4, **kwargs) == serial
-        # no blocks at all: the normal path runs in the calling process
-        assert four_cpus == []
+        threaded = m.assurance_sweep(trial, [0.0, 0.05], threads=4, **kwargs)
+        assert threaded == serial
+        assert serial[0].fallback_count == 0
+        # no table degenerates: one empty block, and no worker is forked
+        assert four_cpus == [1, 1]
+        assert forked == []
+
+    @pytest.mark.parametrize("cells", [(0, 30, 0), (1, 5, 4)])
+    def test_fallbacks_split_across_workers(self, cells, four_cpus, forked):
+        # every replicate of 0,30,0 and about a third of 1,5,4's fall back
+        # to a nested bootstrap; those replicates alone are split into blocks
+        data = m.MissingTable(*cells)
+        kwargs = dict(B_outer=60, inner_B=100, master_seed=18, grid=COARSE_GRID)
+        serial = m.assurance_sweep(data, [0.0, 0.05, 0.3], threads=1, **kwargs)
+        fallbacks = serial[0].fallback_count
+        assert fallbacks >= 10
+        for threads in (2, 3):
+            assert m.assurance_sweep(data, [0.0, 0.05, 0.3], threads=threads, **kwargs) == serial
+        assert four_cpus == [1, 2, 3]
+        # the second block of two, then the second and third of three
+        assert [len(block) for block in forked] == [fallbacks // 2, (fallbacks + 1) // 3,
+                                                    fallbacks // 3]
 
     def test_select_h_equals_serial(self, four_cpus):
         kwargs = dict(candidates=[0.0, 0.01, 0.06, 0.4], B_outer=30, inner_B=200,
@@ -192,8 +225,8 @@ class TestWorkerBlocks:
 
     @pytest.mark.parametrize("failing", [1, 5])
     def test_worker_exception_surfaces(self, failing, monkeypatch, four_cpus):
-        # B_outer = 7 on two workers: replicate 1 fails in block [0, 3),
-        # replicate 5 in block [3, 7)
+        # B_outer = 7 on two workers: replicate 1 fails in block [0, 4),
+        # replicate 5 in block [4, 7)
         class Boom(Exception):
             pass
 
@@ -309,34 +342,43 @@ class TestBlockPartition:
     """The partition alone: no worker is started here."""
 
     @staticmethod
-    def _check_cover(blocks, B_outer):
-        assert [b for block in blocks for b in block] == list(range(B_outer))
-        assert all(block.step == 1 and len(block) > 0 for block in blocks)
+    def _check_cover(blocks, replicates):
+        # in order, the blocks are the replicates, each a contiguous run of them
+        assert np.array_equal(np.concatenate(blocks), replicates)
         sizes = [len(block) for block in blocks]
+        assert min(sizes) > 0 or blocks[0].size == replicates.size == 0
         assert max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
     @pytest.mark.parametrize("B_outer", [1, 2, 7, 61, 5000])
     def test_clamped_to_cpus_and_replicates(self, cpus, B_outer, monkeypatch):
         monkeypatch.setattr(assure, "_usable_cpus", lambda: cpus)
-        for threads in (1, 2, B_outer + 1, 10**6):
-            blocks = assure._blocks(B_outer, threads)
-            assert len(blocks) == min(threads, B_outer, cpus)
-            self._check_cover(blocks, B_outer)
+        # every replicate, and a spread-out subset such as the fallbacks
+        for replicates in (np.arange(B_outer), np.arange(B_outer) * 3 + 1):
+            for threads in (1, 2, B_outer + 1, 10**6):
+                blocks = assure._blocks(replicates, threads)
+                assert len(blocks) == min(threads, B_outer, cpus)
+                self._check_cover(blocks, replicates)
+
+    def test_no_replicate_is_one_empty_block(self, monkeypatch):
+        monkeypatch.setattr(assure, "_usable_cpus", lambda: 4)
+        blocks = assure._blocks(np.arange(0), 4)
+        assert len(blocks) == 1
+        self._check_cover(blocks, np.arange(0))
 
     def test_one_block_without_fork(self, monkeypatch):
         monkeypatch.setattr(assure, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(os, "fork")
-        blocks = assure._blocks(61, 4)
+        blocks = assure._blocks(np.arange(61), 4)
         assert len(blocks) == 1
-        self._check_cover(blocks, 61)
+        self._check_cover(blocks, np.arange(61))
 
     def test_this_machine(self):
         cpus = assure._usable_cpus()
         assert cpus >= 1
-        blocks = assure._blocks(5000, 10**6)
+        blocks = assure._blocks(np.arange(5000), 10**6)
         assert len(blocks) == min(cpus, 5000)
-        self._check_cover(blocks, 5000)
+        self._check_cover(blocks, np.arange(5000))
 
 
 def _unshared_sweep(data, hs, B_outer, inner_B, master_seed, inner_method="normal"):

@@ -1,7 +1,9 @@
 """The vectorized inversion kernel against numpy's ``Generator.binomial``:
 the same counts, dtype and generator state, bit for bit."""
 
+import importlib.util
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -126,8 +128,29 @@ class TestUnsettled:
             _walk_table.cache_clear()
 
 
+def _gate(machine, numpy_version, monkeypatch):
+    """``_EXACT`` as ``minfer._binomial`` sets it on import under this
+    machine name and numpy version, run as a fresh module object."""
+    monkeypatch.setattr(platform, "machine", lambda: machine)
+    monkeypatch.setattr(np, "__version__", numpy_version)
+    spec = importlib.util.find_spec("minfer._binomial")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._EXACT
+
+
 class TestPlatformGate:
-    """Off the verified platforms, every count is numpy's own draw."""
+    """Off the verified platforms and numpy releases, every count is
+    numpy's own draw."""
+
+    @pytest.mark.parametrize("machine, numpy_version, exact", [
+        ("x86_64", "2.4.6", True), ("AMD64", "2.4.0", True), ("x86_64", "2.4.0rc1", True),
+        ("aarch64", "2.4.6", False), ("arm64", "2.4.6", False),
+        ("x86_64", "2.3.5", False), ("x86_64", "2.5.0", False), ("x86_64", "1.24.4", False),
+        ("x86_64", "2.40.0", False), ("x86_64", "3.4.0", False),
+    ])
+    def test_gate(self, machine, numpy_version, exact, monkeypatch):
+        assert _gate(machine, numpy_version, monkeypatch) is exact
 
     def test_batches_are_numpys(self, monkeypatch):
         monkeypatch.setattr(_binomial, "_EXACT", False)
@@ -146,7 +169,7 @@ class TestPlatformGate:
         streams = sampling._Streams(sampling._state_words(4, np.arange(64, dtype=np.uint64)))
         _, settled = psi.draw_streams(streams, sizes)
         assert not settled.any()
-        counts, _ = sampling._replicate_counts(psi, sizes, 64, 4)
+        counts = sampling._replicate_counts(psi, sizes, 64, 4)
         want = [psi.draw(numpy_stream(4, b), sizes) for b in range(64)]
         assert np.array_equal(counts, np.array(want).T)
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -7,6 +9,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minfer import assure as assure_mod
 from minfer import cli
@@ -290,24 +294,17 @@ class TestAssure:
         ("B_outer", "--B-outer", ["--ml-region"]),
         ("inner_B", "--inner-B", ["--h", "0.1"]),
         ("threads", "--threads", ["--h", "0.1"]),
+        ("threads", "--threads", ["--ml-region"]),
     ])
-    def test_counts_below_one_name_the_flag(self, capsys, tmp_path, monkeypatch,
-                                            key, flag, extra):
+    def test_counts_below_one_name_the_flag(self, capsys, tmp_path, key, flag, extra):
         # were "B_outer = 0 ...", "inner_B = 0 ..." and "thread count 0 ...",
         # the library's names
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
         config = tmp_path / "run.json"
         config.write_text(json.dumps({key: 0}), encoding="utf-8")
         for given in ([flag, "0"], ["--config", str(config)]):
             code, out, err = run_cli(["assure", *TRIAL, *extra, *given], capsys)
             assert (code, out) == (1, ""), given
             assert err == f"minfer: error: {flag} 0 must be at least 1\n"
-
-    def test_zero_thread_env_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "0")
-        code, out, err = run_cli(["assure", *TRIAL, "--h", "0.1", "--B-outer", "5"], capsys)
-        assert (code, out) == (1, "")
-        assert err == f"minfer: error: {cli.THREADS_ENV} = 0 must be at least 1\n"
 
     def test_multi_h_csv(self, capsys):
         code, out, _ = run_cli(
@@ -378,26 +375,24 @@ class TestAssure:
         assert a.read_bytes() == b.read_bytes()
 
     def test_thread_count_reaches_the_sweep(self, tmp_path, capsys, monkeypatch):
-        # flag, then --config, then the environment, else 1
+        # the flag, then --config, else 1; the environment is not read
         seen = []
         blocks = assure_mod._blocks
 
-        def recording(B_outer, threads):
+        def recording(replicates, threads):
             seen.append(threads)
-            return blocks(B_outer, 1)
+            return blocks(replicates, 1)
 
         monkeypatch.setattr(assure_mod, "_blocks", recording)
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"threads": 3}), encoding="utf-8")
         args = ["assure", "--setting", "matched", "--counts", "30,100,40,120", "--h", "0.1",
                 "--B-outer", "3", "--inner-B", "20", "--grid", "0:1:0.1"]
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-        assert run_cli(args, capsys)[0] == 0
-        monkeypatch.setenv(cli.THREADS_ENV, "5")
+        monkeypatch.setenv("MINFER_THREADS", "5")
         assert run_cli(args, capsys)[0] == 0
         assert run_cli([*args, "--config", str(config)], capsys)[0] == 0
         assert run_cli([*args, "--config", str(config), "--threads", "2"], capsys)[0] == 0
-        assert seen == [1, 5, 3, 2]
+        assert seen == [1, 3, 2]
 
 class TestTestCommand:
     def test_single_theta(self, capsys):
@@ -584,19 +579,6 @@ class TestConfigAndEnv:
         assert code == 0
         assert out == run_cli([*args, "--threads", "4"], capsys)[1]
 
-    def test_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.THREADS_ENV, "not-a-number")
-        code, _, err = run_cli(
-            ["assure", *TRIAL, "--h", "0.1", "--B-outer", "5", "--grid", "0:1:0.1"], capsys
-        )
-        assert code == 1
-        assert cli.THREADS_ENV in err
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        code, out, _ = run_cli(
-            ["assure", *TRIAL, "--h", "0.1", "--B-outer", "5", "--grid", "0:1:0.1"], capsys
-        )
-        assert code == 0
-
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
@@ -654,8 +636,9 @@ NUMERIC_OPTIONS = list(_numeric_options())
 
 # values outside each numeric flag's domain: below its range, nan and +-inf,
 # and above its upper end where the domain has one (sample sizes past int64,
-# grids of more than cli.GRID_MAX_POINTS points); a flag that takes a list
-# also gets the empty list
+# replicate counts past 2**32, grids of more than cli.GRID_MAX_POINTS
+# points); a flag that takes a list also gets the empty list
+REPLICATE_FLAGS = ("--B", "--B-outer", "--inner-B", "--reps")
 OUTSIDE = {
     "--counts": ["-1,54,24", "nan,54,24", "inf,54,24", "-inf,54,24",
                  "100000000000000000000,1,2"],
@@ -668,6 +651,8 @@ OUTSIDE = {
         ("--h", "-0.1"), ("--tau-min", "-0.1"), ("--theta-star", "-0.1"),
     ]},
 }
+for flag in REPLICATE_FLAGS:
+    OUTSIDE[flag] += [str(2**32 + 1), str(10**20)]
 
 # valid flags each case starts from; the flag under test replaces its own
 VALID = {
@@ -700,9 +685,7 @@ class TestFlagNames:
 
     @pytest.mark.parametrize("command, flag, value", OUTSIDE_CASES)
     @pytest.mark.parametrize("given", ["flag", "config"])
-    def test_outside_the_domain(self, capsys, tmp_path, monkeypatch, command, flag, value,
-                                given):
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    def test_outside_the_domain(self, capsys, tmp_path, command, flag, value, given):
         valid = {key: v for key, v in VALID[command].items() if key != flag}
         if command == "levelset" and flag == "--h":
             del valid["--alpha"]  # levelset takes exactly one of them
@@ -757,6 +740,15 @@ class TestFlagNames:
          "--grid expects at most 10000000 points, got '0:1:1e-300'"),
         (["curve", *TRIAL, "--grid", "0:1:1e-8"],
          "--grid expects at most 10000000 points, got '0:1:1e-8'"),
+        (["curve", *TRIAL, "--B", str(10**20)], f"--B {10**20} must be at most {2**32}"),
+        (["assure", "--setting", "matched", "--counts", "30,100,40,120", "--h", "0.1",
+          "--B-outer", "3", "--inner-B", str(10**20)], f"--inner-B {10**20} must be at most {2**32}"),
+        (["assure", *TRIAL, "--h", "0.1", "--B-outer", str(2**32 + 1)],
+         f"--B-outer {2**32 + 1} must be at most {2**32}"),
+        (["simulate", "--setting", "missing", "--psi", "0.3,0.5,0.2", "--sizes", "50",
+          "--reps", str(10**20)], f"--reps {10**20} must be at most {2**32}"),
+        (["test", *TRIAL, "--theta-star", "0.3", "--method", "bootstrap", "--B", str(10**20)],
+         f"--B {10**20} must be at most {2**32}"),
     ])
     def test_messages(self, capsys, argv, message):
         # were "level alpha = 1.5 ...", "theta_star = nan ...", "l_plus0 = nan ...",
@@ -766,6 +758,61 @@ class TestFlagNames:
         # at least 1", "nx = 5 exceeds n1 = 3" and "components sum to 0.89..., not 1";
         # the sizes past int64 and the grids past the point cap were "minfer:
         # internal error: ..." with exit 2 (the grids are refused before any point
-        # is allocated)
+        # is allocated); replicate counts past 2**32 printed "replicate indices
+        # 0..99999999999999999999 must lie below 2**32", naming no flag, or, for
+        # --inner-B, "internal error: Maximum allowed dimension exceeded"
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (1, "", f"minfer: error: {message}\n")
+
+
+# --- hostile command lines: exit 0, 1 or 2, and no internal error
+
+HOSTILE = ["nan", "inf", "-inf", "0", "-1", str(2**63), str(10**20)]
+# valid entries of each list flag, for hostile entries among valid ones
+LIST_ENTRIES = {"--counts": ["1", "5", "24"], "--sizes": ["1", "20"],
+                "--psi": ["0.2", "0.3", "0.5"], "--h": ["0.01", "0.1"], "--theta-star": ["0.3"]}
+GRID_PARTS = [*HOSTILE, "1", "0.5", "1e-300"]
+# replicate counts kept tiny, so that a valid case runs in milliseconds
+SMALL = {"--B": "10", "--reps": "10", "--B-outer": "4", "--inner-B": "10"}
+MATCHED_VALID = {"--counts": "30,100,40,120", "--psi": "0.3,0.5", "--sizes": "20,30",
+                 "--method": "bootstrap"}
+
+
+def _hostile_value(flag, takes_list):
+    if flag == "--grid":
+        return st.lists(st.sampled_from(GRID_PARTS), min_size=3, max_size=3).map(":".join)
+    if takes_list:
+        entries = st.sampled_from([*HOSTILE, *LIST_ENTRIES[flag]])
+        return st.lists(entries, max_size=4).map(",".join)
+    return st.sampled_from(HOSTILE)
+
+
+@st.composite
+def _hostile_argv(draw):
+    """A subcommand's valid tiny flags, in either setting, with one to three
+    of its numeric flags given hostile values (none an in-domain huge
+    replicate count, which would allocate; a huge --threads is clamped to
+    the usable CPUs)."""
+    command = draw(st.sampled_from(sorted(VALID)))
+    options = {flag: takes_list for name, flag, takes_list in NUMERIC_OPTIONS if name == command}
+    flags = {**VALID[command], **{flag: SMALL[flag] for flag in options if flag in SMALL}}
+    if draw(st.booleans()):
+        flags["--setting"] = "matched"
+        flags.update((flag, value) for flag, value in MATCHED_VALID.items() if flag in flags)
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=3,
+                              unique=True)):
+        flags[flag] = draw(_hostile_value(flag, options[flag]))
+        if command == "levelset" and flag == "--h":
+            flags.pop("--alpha", None)  # levelset takes exactly one of them
+    return [command, *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_hostile_argv())
+def test_hostile_command_lines(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert code == 0 or out.getvalue() == "", argv
+    assert "minfer: internal error" not in err.getvalue(), (argv, err.getvalue())

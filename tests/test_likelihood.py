@@ -184,6 +184,12 @@ class TestStandardize:
         std = likelihood._standardize(np.array([-math.inf, -math.inf]))
         assert np.all(std == 0.0)
 
+    def test_empty_grid_gives_empty_curves(self, trial):
+        # raised numpy's ValueError from the maximum of no points
+        for curve in (m.profile_curve, m.mcar_curve):
+            std = curve(trial, np.array([]))
+            assert std.shape == (0,) and std.dtype == float
+
 
 def _term(count, prob):
     if count == 0:

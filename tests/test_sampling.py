@@ -10,7 +10,7 @@ from scipy import stats
 import minfer as m
 from minfer import _binomial, corroborate
 from minfer.corroborate import bounds_batch_from_rng, bounds_batch_streams
-from minfer.sampling import _CHUNK, _generator, _replicate_counts, _state_words, _Streams
+from minfer.sampling import _CHUNK, _replayed, _replicate_counts, _Seed, _state_words, _Streams
 from oracles import SimTruth, child_seed, numpy_stream
 
 
@@ -40,16 +40,22 @@ class TestDrawObserved:
     """Replicate tables of the batch draw at psi."""
 
     def test_degenerate_psi(self):
-        counts, _ = _replicate_counts(m.PsiMissing(1.0, 0.0, 0.0), 50, 5, 0)
+        counts = _replicate_counts(m.PsiMissing(1.0, 0.0, 0.0), 50, 5, 0)
         assert counts.T.tolist() == [[50, 0, 0]] * 5
 
     def test_matched_four_sigma_band(self):
-        counts, _ = _replicate_counts(m.PsiMatched(0.5, 0.5), (10**6, 10**6), 1, 123)
+        counts = _replicate_counts(m.PsiMatched(0.5, 0.5), (10**6, 10**6), 1, 123)
         assert np.all(np.abs(counts / 10**6 - 0.5) < 0.002)
 
     def test_counts_total(self):
-        counts, _ = _replicate_counts(m.PsiMissing(0.2, 0.5, 0.3), 321, 40, 9)
+        counts = _replicate_counts(m.PsiMissing(0.2, 0.5, 0.3), 321, 40, 9)
         assert counts.sum(axis=0).tolist() == [321] * 40
+
+    @pytest.mark.parametrize("sizes", [[], [5], [5, 6, 7], [[5, 6]]])
+    def test_sizes_must_be_n_or_a_pair(self, sizes):
+        # an empty list raised numpy's ValueError from the draw
+        with pytest.raises(m.ValidationError, match="must be n or a pair"):
+            m.corroboration_bootstrap(m.PsiMatched(0.2, 0.5), sizes, B=5)
 
     def test_bad_sizes_rejected(self):
         # the public bootstrap refuses to draw replicates of size 0
@@ -214,14 +220,18 @@ class TestSeedingOracle:
     @pytest.mark.parametrize("B", [1, 5000])
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_replicate_rngs_match_numpy(self, seed, B):
-        # each replicate's seed words, and its generator at the state they seed
+        # each replicate's seed words, the PCG64 state they seed, and
+        # numpy's generator seeded with them
         words = _state_words(seed, np.arange(B, dtype=np.uint64))
         streams = _Streams(words)
         assert words.shape == (B, 4)
         for b in sorted({0, 1, B - 1} & set(range(B))):
             assert words[b].tolist() == _numpy_words(seed, b)
-            state = streams.hi[b], streams.lo[b], streams.inc_hi[b], streams.inc_lo[b]
-            _same_stream(_generator(*state), numpy_stream(seed, b))
+            oracle = numpy_stream(seed, b)
+            state = oracle.bit_generator.state["state"]
+            assert int(streams.hi[b]) << 64 | int(streams.lo[b]) == state["state"]
+            assert int(streams.inc_hi[b]) << 64 | int(streams.inc_lo[b]) == state["inc"]
+            _same_stream(np.random.Generator(np.random.PCG64(_Seed(words[b]))), oracle)
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_replicate_stream_matches_numpy(self, seed):
@@ -242,19 +252,21 @@ class TestSeedingOracle:
         assert seq.generate_state(3).tolist() == oracle_seq.generate_state(3).tolist()
 
     def test_bad_start_rejected(self):
-        # every index of a batch must fit one 32-bit spawn word
-        with pytest.raises(m.ValidationError, match="0..4294967296 must lie below 2\\*\\*32"):
-            _replicate_counts(m.PsiMissing(0.3, 0.5, 0.2), 10, 2**32 + 1, 0)
+        # every index of a batch must fit one 32-bit spawn word, checked
+        # with the replicate count before anything is allocated
+        for B in (2**32 + 1, 10**20):
+            with pytest.raises(m.ValidationError, match=f"^B = {B} must be at most 4294967296$"):
+                m.corroboration_bootstrap(m.PsiMissing(0.3, 0.5, 0.2), 10, B=B)
 
     def test_numpy_integer_seed(self):
         seed, psi = np.uint64(2**64 - 1), m.PsiMissing(0.3, 0.5, 0.2)
         words = _state_words(seed, np.arange(3, dtype=np.uint64))
-        counts, states = _replicate_counts(psi, 10, 3, seed)
+        counts = _replicate_counts(psi, 10, 3, seed)
         for b in range(3):
             assert words[b].tolist() == _numpy_words(2**64 - 1, b)
             oracle = numpy_stream(2**64 - 1, b)
             assert counts[:, b].tolist() == psi.draw(oracle, 10).tolist()
-            _same_stream(_generator(*states[:, b]), oracle)
+            _same_stream(_replayed(psi, 10, words[b])[1], oracle)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**160 - 1), b=st.integers(0, 2**32 - 1))
@@ -288,27 +300,29 @@ TABLES = (
        B=st.sampled_from([1, 7, 60, _CHUNK + 3]))
 def _hand_off_property(data, seed, B):
     psi, sizes = m.mle_psi(data), data.sizes
-    counts, states = _replicate_counts(psi, sizes, B, seed)
+    counts = _replicate_counts(psi, sizes, B, seed)
+    words = _state_words(seed, np.arange(B, dtype=np.uint64))
     for b in range(B):
         oracle = numpy_stream(seed, b)
         assert counts[:, b].tolist() == np.ravel(psi.draw(oracle, sizes)).tolist()
-        rng = _generator(*states[:, b])
+        cells, rng = _replayed(psi, sizes, words[b])
+        assert np.ravel(cells).tolist() == counts[:, b].tolist()
         assert rng.bit_generator.state == oracle.bit_generator.state
         assert rng.random(3).tolist() == oracle.random(3).tolist()
         assert rng.binomial(100, 0.29, 50).tolist() == oracle.binomial(100, 0.29, 50).tolist()
 
 
 class TestHandOff:
-    """A replicate's generator, built from the state ``_replicate_counts``
-    hands back, is numpy's own generator after the replicate's draw."""
+    """A replicate's generator, replayed from its seed words, is numpy's
+    own generator after the replicate's draw."""
 
     def test_settled_and_numpy_drawn_replicates(self):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_binomial, "_EXACT", True)
             _hand_off_property()
 
-    def test_every_replicate_read_back(self):
-        # the kernel settles nothing, so each state is read back from numpy
+    def test_every_replicate_drawn_by_numpy(self):
+        # the kernel settles nothing, so numpy draws every replicate's table
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_binomial, "_EXACT", False)
             _hand_off_property()
@@ -431,7 +445,7 @@ class TestGoodnessOfFit:
     def _observed_law(self, psi, sizes, seed: int) -> Counter:
         # replicate b's table from the batch draw, the one psi.draw makes on
         # numpy's own stream: checked on the first 1,000 replicates
-        counts, _ = _replicate_counts(psi, sizes, self.REPS, seed)
+        counts = _replicate_counts(psi, sizes, self.REPS, seed)
         draws = [tuple(cells) for cells in counts.T.tolist()]
         for b, cells in enumerate(draws[:1000]):
             assert tuple(np.ravel(psi.draw(numpy_stream(seed, b), sizes)).tolist()) == cells

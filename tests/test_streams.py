@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minfer as m
-from minfer import _binomial, corroborate, model, sampling
+from minfer import _binomial, corroborate, errors, model, sampling
 from minfer.sampling import _replicate_counts, _state_words, _Streams
 from oracles import numpy_stream
 
@@ -31,7 +31,7 @@ def numpy_counts(psi, sizes, B, seed):
 
 
 def assert_numpy_counts(psi, sizes, B, seed):
-    got, _ = _replicate_counts(psi, sizes, B, seed)
+    got = _replicate_counts(psi, sizes, B, seed)
     assert got.dtype == np.int64
     assert np.array_equal(got, numpy_counts(psi, sizes, B, seed)), (psi, sizes, B, seed)
 
@@ -197,12 +197,13 @@ class TestBootstrapBatch:
         assert np.array_equal(lower, want_lower) and np.array_equal(upper, want_upper)
 
     def test_indices_must_fit_one_spawn_word(self):
-        with pytest.raises(m.ValidationError, match="2\\*\\*32"):
-            _replicate_counts(m.PsiMatched(0.3, 0.5), (10, 10), 2**32 + 1, 0)
+        with pytest.raises(m.ValidationError, match="^B = 4294967297 must be at most 4294967296$"):
+            corroborate.bounds_batch_streams(m.PsiMatched(0.3, 0.5), (10, 10), 2**32 + 1, 0)
 
 
 class TestReplicateCount:
-    """One check for B, B_outer, inner_B and reps: an integer >= 1."""
+    """One check for B, B_outer, inner_B and reps: an integer from 1 to
+    2**32, the replicate indices one 32-bit spawn word holds."""
 
     DATA = m.MissingTable(32, 54, 24)
     MATCHED = m.MatchedTable(30, 100, 40, 120)
@@ -237,6 +238,24 @@ class TestReplicateCount:
             for call in calls:
                 with pytest.raises(m.ValidationError, match=f"^{name} = {count} must be at least 1$"):
                     call()
+
+    @pytest.mark.parametrize("count", [2**32 + 1, 10**20, np.uint64(2**63)])
+    def test_above_two_to_the_32(self, count):
+        # refused before anything is drawn; 10**20 was "replicate indices
+        # 0..99999999999999999999 must lie below 2**32" where a batch was
+        # drawn, accepted by the normal curve, which draws nothing, and
+        # numpy's "Maximum allowed dimension exceeded" for inner_B
+        for name, calls in self.calls(count).items():
+            for call in calls:
+                with pytest.raises(m.ValidationError,
+                                   match=f"^{name} = {count} must be at most 4294967296$"):
+                    call()
+
+    def test_two_to_the_32_is_the_largest(self):
+        # checked on the checker alone: a count of 2**32 would be drawn
+        assert errors._check_replicates(2**32, "B") == 2**32
+        with pytest.raises(m.ValidationError):
+            errors._check_replicates(2**32 + 1, "B")
 
     @pytest.mark.parametrize("count", [np.int64(3), np.uint16(3), 3])
     def test_integers(self, count):

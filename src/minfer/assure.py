@@ -57,7 +57,7 @@ from __future__ import annotations
 import mmap
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -75,7 +75,7 @@ from .corroborate import (
 )
 from .errors import (DegenerateVariance, NoQualifyingH, ValidationError, _check_count,
                      _check_grid, _check_offset, _check_probability, _check_replicates,
-                     _invalid)
+                     _check_seed, _invalid)
 from .identify import ThetaInterval, ml_region
 from .model import ObservedTable, mle_psi
 from .sampling import _replayed, _replicate_counts, _state_words
@@ -103,14 +103,24 @@ class AssuranceReport:
     fallback_count: int
 
     def __post_init__(self) -> None:
+        if self.h is not None:
+            _check_offset(self.h)
         _check_probability(self.tau_hat, "tau_hat")
         if not 0.0 <= self.L_bar <= self.U_bar <= 1.0:
             raise ValidationError(
                 f"expected endpoints [{self.L_bar}, {self.U_bar}] are not ordered in [0, 1]"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        B_outer = _check_replicates(self.B_outer, "B_outer")
+        if self.inner_method not in ("normal", "bootstrap", "ml_region"):
+            raise _invalid(ValidationError, "inner_method", repr(self.inner_method),
+                           "must be normal, bootstrap or ml_region")
+        if self.inner_B is not None:
+            _check_replicates(self.inner_B, "inner_B")
+        _check_seed(self.master_seed)
+        for name in ("singleton_count", "fallback_count"):
+            if _check_count(getattr(self, name), name, least=0) > B_outer:
+                raise _invalid(ValidationError, name, getattr(self, name),
+                               f"must be at most B_outer = {B_outer}")
 
 
 def _report(region: ThetaInterval, lo: np.ndarray, up: np.ndarray, **fields) -> AssuranceReport:

@@ -11,7 +11,9 @@ Subcommands:
 * ``test``     — corroboration test of one or more theta values.
 * ``simulate`` — actual-corroboration curve CSV at a hypothesized psi.
 
-Numbers are serialized with 6 decimal places; reruns with identical
+Each subcommand computes one result, and one writer puts it on stdout or
+in the ``--out`` file: a CSV table, every field with 6 decimals, or else
+JSON, every float rounded to 6 decimal places. Reruns with identical
 arguments and seed produce byte-identical output. Exit codes: 0 success,
 1 invalid input, 2 numeric failure. Values from a ``--config`` JSON file
 are parsed as if given as flags before the command line's own, so they
@@ -22,11 +24,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields
-from typing import IO, Iterator, Sequence
+from dataclasses import asdict, astuple, fields, is_dataclass
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -103,14 +106,6 @@ def parse_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def _round6(value: float) -> float:
-    return round(float(value), 6)
-
-
-def _rounded(payload: dict) -> dict:
-    return {key: _round6(v) if isinstance(v, float) else v for key, v in payload.items()}
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -165,32 +160,35 @@ def _output(out: str | None) -> Iterator[IO[str]]:
         yield handle
 
 
-def _emit(payload: object, out: str | None) -> None:
-    with _output(out) as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
+def _plain(value: object) -> object:
+    """``value`` as JSON data: dataclasses as dicts, floats to 6 decimal places."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return round(float(value), 6) if isinstance(value, float) else value
 
 
 # ---------------------------------------------------------------- analyze
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> dict:
     data = _table_from_args(args)
-    psi = mle_psi(data)
-    region = ml_region(data)
     missing = isinstance(data, MissingTable)
     payload: dict = {"setting": args.setting, "counts": list(astuple(data))}
     payload.update({"n": data.n} if missing else {"sizes": list(data.sizes)})
-    payload["psi_hat"] = _rounded(asdict(psi))
+    payload["psi_hat"] = mle_psi(data)
     if missing:
         responders = data.n11 + data.n01
-        payload["mcar_mle"] = _round6(data.n11 / responders) if responders else None
-    payload["ml_region"] = {"lower": _round6(region.lower), "upper": _round6(region.upper)}
-    _emit(payload, args.out)
-    return 0
+        payload["mcar_mle"] = data.n11 / responders if responders else None
+    payload["ml_region"] = ml_region(data)
+    return payload
 
 
 # ------------------------------------------------------------------ curve
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: argparse.Namespace) -> Callable[[IO[str]], None]:
     data = _table_from_args(args)
     grid = parse_grid(args.grid)
     curve = corr.corroboration_curve(mle_psi(data), data.sizes, grid, args.method,
@@ -199,14 +197,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if isinstance(data, MissingTable):
         header += ["profile_std", "mcar_std"]
         columns += [likelihood.profile_curve(data, grid), likelihood.mcar_curve(data, grid)]
-    with _output(args.out) as handle:
-        corr.write_csv(handle, header, zip(*columns))
-    return 0
+    return functools.partial(corr.write_csv, header=header, rows=zip(*columns))
 
 
 # --------------------------------------------------------------- levelset
 
-def _cmd_levelset(args: argparse.Namespace) -> int:
+def _cmd_levelset(args: argparse.Namespace) -> dict:
     if (args.alpha is None) == (args.h is None):
         raise ValidationError("levelset needs exactly one of --alpha or --h")
     data = _table_from_args(args)
@@ -217,34 +213,22 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
         try:
             result = corr.level_set(curve, float(args.alpha))
         except EmptyLevelSet:
-            payload = {"kind": "alpha_level", "level": _round6(args.alpha), "empty": True}
-            _emit(payload, args.out)
-            return 0
+            return {"kind": "alpha_level", "level": args.alpha, "empty": True}
     else:
         result = corr.max_corroboration_set(curve, float(args.h))
-    payload = {
-        "kind": result.kind,
-        "level": _round6(result.level),
-        "empty": False,
-        "lower": _round6(result.interval.lower),
-        "upper": _round6(result.interval.upper),
-    }
-    _emit(payload, args.out)
-    return 0
+    return {"kind": result.kind, "level": result.level, "empty": False,
+            "lower": result.interval.lower, "upper": result.interval.upper}
 
 
 # ----------------------------------------------------------------- assure
 
-def _cmd_assure(args: argparse.Namespace) -> int:
+def _cmd_assure(args: argparse.Namespace) -> object:
     data = _table_from_args(args)
     # checked before the --ml-region branch, which does not read it
     _check_count(args.threads, "threads")
     if args.ml_region:
-        report = assure_mod.assurance_of_ml_region(
-            data, B_outer=args.B_outer, master_seed=args.seed
-        )
-        _emit(_rounded(report.to_dict()), args.out)
-        return 0
+        return assure_mod.assurance_of_ml_region(data, B_outer=args.B_outer,
+                                                 master_seed=args.seed)
     # an empty list (``--h ,`` or ``"h": []``) names no offset
     if not args.h:
         raise ValidationError("assure needs --h (one value or a comma list) or --ml-region")
@@ -259,37 +243,29 @@ def _cmd_assure(args: argparse.Namespace) -> int:
     )
     if args.tau_min is not None:
         chosen, report = assure_mod.select_h(data, float(args.tau_min), args.h, **kwargs)
-        payload = {"tau_min": _round6(args.tau_min), "chosen_h": _round6(chosen),
-                   "report": _rounded(report.to_dict())}
-        _emit(payload, args.out)
-        return 0
+        return {"tau_min": args.tau_min, "chosen_h": chosen, "report": report}
     reports = assure_mod.assurance_sweep(data, args.h, **kwargs)
     if len(reports) == 1:
-        _emit(_rounded(reports[0].to_dict()), args.out)
-    else:
-        with _output(args.out) as handle:
-            assure_mod.reports_to_csv(reports, handle)
-    return 0
+        return reports[0]
+    return functools.partial(assure_mod.reports_to_csv, reports)
 
 
 # ------------------------------------------------------------------- test
 
-def _cmd_test(args: argparse.Namespace) -> int:
+def _cmd_test(args: argparse.Namespace) -> object:
     data = _table_from_args(args)
     # an empty list (``--theta-star ,`` or ``"theta-star": []``) tests nothing
     if not args.theta_star:
         raise ValidationError("test needs --theta-star (one value or a comma list)")
     # one corroboration curve serves every theta value, as on a grid
-    results = [_rounded(result.to_dict()) for result in ctest.corroboration_tests(
-        data, args.theta_star, method=args.method, B=args.B, master_seed=args.seed,
-    )]
-    _emit(results[0] if len(results) == 1 else results, args.out)
-    return 0
+    results = ctest.corroboration_tests(data, args.theta_star, method=args.method, B=args.B,
+                                        master_seed=args.seed)
+    return results[0] if len(results) == 1 else results
 
 
 # --------------------------------------------------------------- simulate
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> Callable[[IO[str]], None]:
     if args.setting is None:
         raise ValidationError("--setting is required (missing or matched)")
     if args.psi is None or args.sizes is None:
@@ -306,9 +282,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
     curve = corr.corroboration_curve(psi, sizes, grid, "bootstrap", B=args.reps,
                                      master_seed=args.seed)
-    with _output(args.out) as handle:
-        curve.to_csv(handle)
-    return 0
+    return curve.to_csv
 
 
 # ------------------------------------------------------------------ wiring
@@ -396,7 +370,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             # argv[0] is the subcommand: the top-level parser has no options
             tokens = _config_tokens(args, _load_config(args.config))
             args = parser.parse_args([argv[0], *tokens, *argv[1:]])
-        return args.func(args)
+        result = args.func(args)
+        with _output(args.out) as handle:
+            if callable(result):
+                result(handle)
+            else:
+                handle.write(json.dumps(_plain(result), indent=2) + "\n")
+        return 0
     except ValidationError as exc:
         flag = _FLAGS.get((argv[0] if argv else None, exc.name), _FLAGS.get(exc.name))
         shown = " ".join(str(part) for part in (flag, exc.value, exc.rule) if part is not None)

@@ -27,13 +27,14 @@ np.uint64)[0]``; all of these seeds come from one batched hash
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .corroborate import bounds_batch_streams, corroboration_curve, corroboration_method
-from .errors import BoundaryTheta, _check_count, _check_replicates, _check_seed, _check_theta
+from .errors import (BoundaryTheta, _check_count, _check_replicates, _check_seed, _check_sizes,
+                     _check_theta)
 from .identify import ml_region, theta_interval
 from .model import ObservedTable, Psi, mle_psi
 from .sampling import _state_words
@@ -57,9 +58,6 @@ class TestResult:
     observed_power: float
     decision: str  # "reject_HA" | "not_reject" | "indeterminate"
     quadrant: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def corroboration_tests(
@@ -146,6 +144,8 @@ def chernoff_consistency_check(
             f"theta_star = {theta_star} sits exactly on an identification bound"
         )
     schedule = [_check_count(n, "n_schedule") for n in n_schedule]
+    for n in schedule:
+        _check_sizes(n, "n_schedule")
     seeds = _state_words(master_seed, np.arange(len(schedule), dtype=np.uint64))[:, 0]
     rates = []
     for n, seed in zip(schedule, seeds.tolist()):

@@ -33,6 +33,8 @@ curve, B = infinity: with L = c11/n and U = (c11 + c0)/n, both binomial
 and L <= U, closed membership has probability P(L <= theta) - P(U <
 theta). The floats k/n are compared with theta exactly as the estimator
 compares them, and the pmfs come from numpy alone (``binomial_pmf``).
+``share_tolerance`` is five binomial standard deviations of a share of B
+replicates around such an expectation.
 
 ``SimTruth`` is a complete-data law, with the identifiable parameter and
 theta that each setting observes of it.
@@ -242,6 +244,12 @@ def exact_missing_curve(psi: PsiMissing, n: int, grid) -> np.ndarray:
     lower, upper = k_lower / n, k_upper / n
     return np.array([p_lower[lower <= theta].sum() - p_upper[upper < theta].sum()
                      for theta in np.asarray(grid, dtype=float)])
+
+
+def share_tolerance(p: float, B: int) -> float:
+    """Five standard deviations of the share of B independent replicates
+    that hit an event of probability p."""
+    return 5.0 * math.sqrt(p * (1.0 - p) / B)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,10 @@ def test_removed_names_are_gone_and_documented():
     for name in REMOVED:
         assert not hasattr(minfer, name)
         assert f"`{name}" in migrations
-    assert not hasattr(minfer.CorroborationCurve, "to_csv_text")
+    for cls, method in ((minfer.CorroborationCurve, "to_csv_text"),
+                        (minfer.AssuranceReport, "to_dict"), (minfer.TestResult, "to_dict")):
+        assert not hasattr(cls, method)
+        assert f"`{cls.__name__}.{method}()`" in migrations
 
 
 # --- hostile values: every entry point raises only MinferError subclasses

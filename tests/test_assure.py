@@ -89,6 +89,30 @@ class TestStructure:
         assert 0.0 <= report.tau_hat <= 1.0
 
 
+REPORT = dict(h=0.1, tau_hat=0.5, L_bar=0.2, U_bar=0.6, B_outer=4, inner_method="normal",
+              inner_B=None, master_seed=0, singleton_count=0, fallback_count=0)
+
+
+class TestReportFields:
+    def test_valid_report(self):
+        assert m.AssuranceReport(**REPORT).B_outer == 4
+        m.AssuranceReport(**{**REPORT, "h": None, "inner_method": "ml_region",
+                             "singleton_count": 4, "fallback_count": 4})
+
+    @pytest.mark.parametrize("field, value", [
+        ("h", float("nan")), ("h", 1.0), ("h", -0.1),
+        ("B_outer", float("nan")), ("B_outer", 0), ("B_outer", 2**32 + 1),
+        ("inner_method", "x"), ("inner_B", -5), ("inner_B", 2.0),
+        ("master_seed", -1), ("master_seed", 1.5),
+        ("singleton_count", -3), ("singleton_count", 5), ("singleton_count", True),
+        ("fallback_count", 2.5), ("fallback_count", 5),
+    ])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(m.ValidationError) as info:
+            m.AssuranceReport(**{**REPORT, field: value})
+        assert info.value.name == field
+
+
 class TestSweep:
     def test_monotone_tradeoff(self, trial):
         B_outer = 400

@@ -3,9 +3,11 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -816,3 +818,40 @@ def test_hostile_command_lines(argv):
     assert code in (0, 1, 2), argv
     assert code == 0 or out.getvalue() == "", argv
     assert "minfer: internal error" not in err.getvalue(), (argv, err.getvalue())
+    if code == 0:
+        assert _written_by_the_one_writer(out.getvalue()), (argv, out.getvalue())
+
+
+def _written_by_the_one_writer(text):
+    """JSON whose every float is rounded to 6 decimal places (no NaN or
+    infinity), or CSV whose every nonempty data field has 6 decimals."""
+    if text.startswith(("{", "[")):
+        floats = []
+
+        def parse(token):
+            floats.append(float(token))
+            return floats[-1]
+
+        json.loads(text, parse_float=parse, parse_constant=parse)
+        return all(v == round(v, 6) for v in floats)
+    return all(re.fullmatch(r"-?\d+\.\d{6}", field)
+               for row in text.splitlines()[1:] for field in row.split(",") if field)
+
+
+# --- the README's command block runs as written
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("minfer ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv[1:], capsys)
+    assert code == 0, err
+    if "--out" in argv:
+        out = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+    assert out != ""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from minfer.corroborate import (
     corroboration_bootstrap,
     corroboration_normal_curve,
 )
+from oracles import exact_missing_curve, share_tolerance
 from test_corroborate import missing_tables
 
 
@@ -37,7 +40,10 @@ class TestRunningExample:
     def test_bootstrap_method(self, trial):
         result = m.corroboration_test(trial, 0.2, method="bootstrap", B=5000, master_seed=1)
         assert result.T == 0
-        assert result.observed_power == pytest.approx(0.98, abs=0.02)
+        # the exact expectation (B = infinity), never wider than the hand-typed 0.02
+        p = exact_missing_curve(m.mle_psi(trial), trial.n, [0.2])[0]
+        tolerance = min(share_tolerance(p, 5000), 0.02)
+        assert result.observed_power == pytest.approx(1.0 - p, abs=tolerance)
 
     def test_matched_defaults_to_bootstrap(self):
         data = m.MatchedTable(10, 100, 90, 100)
@@ -89,7 +95,7 @@ class TestInvariants:
         assert result.quadrant == ctest.QUADRANT_NEITHER
 
     def test_json_payload_shape(self, trial):
-        payload = m.corroboration_test(trial, 0.2, method="normal").to_dict()
+        payload = dataclasses.asdict(m.corroboration_test(trial, 0.2, method="normal"))
         assert set(payload) == {
             "theta_star", "T", "observed_corroboration", "observed_power",
             "decision", "quadrant",
@@ -237,6 +243,15 @@ class TestChernoffConsistency:
         monkeypatch.setattr(ctest, "bounds_batch_streams", lambda *args: calls.append(args))
         with pytest.raises(m.ValidationError, match="^n_schedule = "):
             m.chernoff_consistency_check(self.PSI0, 0.4, n_schedule=schedule, reps=10)
+        assert calls == []
+
+    def test_entry_past_the_largest_size_names_the_schedule(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ctest, "bounds_batch_streams", lambda *args: calls.append(args))
+        with pytest.raises(m.ValidationError) as info:
+            m.chernoff_consistency_check(self.PSI0, 0.35, [10, 2**63], reps=3)
+        assert str(info.value) == f"n_schedule = {2**63} must be at most {2**63 - 1}"
+        assert info.value.name == "n_schedule"
         assert calls == []
 
     def test_numpy_integer_entries(self):

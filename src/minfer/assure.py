@@ -74,8 +74,8 @@ from .corroborate import (
     write_csv,
 )
 from .errors import (DegenerateVariance, NoQualifyingH, ValidationError, _check_count,
-                     _check_grid, _check_offset, _check_probability, _check_replicates,
-                     _check_seed, _invalid)
+                     _check_grid, _check_number, _check_offset, _check_probability,
+                     _check_replicates, _check_seed, _invalid)
 from .identify import ThetaInterval, ml_region
 from .model import ObservedTable, mle_psi
 from .sampling import _replayed, _replicate_counts, _state_words
@@ -103,17 +103,20 @@ class AssuranceReport:
     fallback_count: int
 
     def __post_init__(self) -> None:
-        if self.h is not None:
-            _check_offset(self.h)
-        _check_probability(self.tau_hat, "tau_hat")
-        if not 0.0 <= self.L_bar <= self.U_bar <= 1.0:
-            raise ValidationError(
-                f"expected endpoints [{self.L_bar}, {self.U_bar}] are not ordered in [0, 1]"
-            )
-        B_outer = _check_replicates(self.B_outer, "B_outer")
         if self.inner_method not in ("normal", "bootstrap", "ml_region"):
             raise _invalid(ValidationError, "inner_method", repr(self.inner_method),
                            "must be normal, bootstrap or ml_region")
+        if (self.h is None) != (self.inner_method == "ml_region"):
+            raise _invalid(ValidationError, "h", repr(self.h),
+                           "must be None exactly when inner_method is ml_region")
+        if self.h is not None:
+            _check_offset(self.h)
+        for name in ("tau_hat", "L_bar", "U_bar"):
+            _check_probability(getattr(self, name), name)
+        if self.L_bar > self.U_bar:
+            raise _invalid(ValidationError, "L_bar", self.L_bar,
+                           f"must be at most U_bar = {self.U_bar}")
+        B_outer = _check_replicates(self.B_outer, "B_outer")
         if self.inner_B is not None:
             _check_replicates(self.inner_B, "inner_B")
         _check_seed(self.master_seed)
@@ -230,11 +233,9 @@ def assurance_sweep(
     bootstrap (common random numbers across the h values). ``threads``
     caps the worker processes of the replicates that run a nested
     bootstrap (see module docs); the reports do not depend on it."""
-    hs = [float(h) for h in h_list]
+    hs = [_check_offset(h) for h in h_list]
     if not hs:
         raise ValidationError("h_list must be nonempty")
-    for h in hs:
-        _check_offset(h)
     B_outer = _check_replicates(B_outer, "B_outer")
     threads = _check_count(threads, "threads")
     psi_hat = mle_psi(data)
@@ -328,7 +329,7 @@ def select_h(
     ValidationError before any replicate is drawn.
     """
     _check_probability(tau_min, "tau_min")
-    cands = [float(h) for h in candidates]
+    cands = [_check_number(h, "candidates") for h in candidates]
     if not cands:
         raise _invalid(ValidationError, "candidates", None, "must be nonempty")
     if any(a > b for a, b in zip(cands, cands[1:])):

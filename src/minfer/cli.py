@@ -38,7 +38,7 @@ from . import corroborate as corr
 from . import ctest, likelihood
 from .errors import EmptyLevelSet, MinferError, NoQualifyingH, ValidationError, _check_count
 from .identify import ml_region
-from .model import SETTINGS, MissingTable, ObservedTable, mle_psi, validate
+from .model import SETTINGS, MissingTable, ObservedTable, Psi, mle_psi, validate
 
 GRID = "0:1:0.001"
 # the most points a --grid may have, checked before the grid is built
@@ -66,18 +66,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
+def _comma_list(kind: type, noun: str) -> Callable[[str], list]:
+    """The argparse type of a comma list of ``kind`` values, empty entries skipped."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects comma-separated {noun}, got {text!r}")
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}")
+_INTEGERS, _NUMBERS = _comma_list(int, "integers"), _comma_list(float, "numbers")
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -160,6 +159,13 @@ def _output(out: str | None) -> Iterator[IO[str]]:
         yield handle
 
 
+def _curve(args: argparse.Namespace, psi: Psi, sizes: corr.Sizes, method: str | None,
+           B: int) -> corr.CorroborationCurve:
+    """The curve of ``curve``, ``levelset`` and ``simulate``, on the ``--grid`` points."""
+    return corr.corroboration_curve(psi, sizes, parse_grid(args.grid), method, B=B,
+                                    master_seed=args.seed)
+
+
 def _plain(value: object) -> object:
     """``value`` as JSON data: dataclasses as dicts, floats to 6 decimal places."""
     if is_dataclass(value):
@@ -190,13 +196,12 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
 
 def _cmd_curve(args: argparse.Namespace) -> Callable[[IO[str]], None]:
     data = _table_from_args(args)
-    grid = parse_grid(args.grid)
-    curve = corr.corroboration_curve(mle_psi(data), data.sizes, grid, args.method,
-                                     B=args.B, master_seed=args.seed)
-    header, columns = ["theta", "corroboration"], [grid, curve.values]
+    curve = _curve(args, mle_psi(data), data.sizes, args.method, args.B)
+    header, columns = ["theta", "corroboration"], [curve.grid, curve.values]
     if isinstance(data, MissingTable):
         header += ["profile_std", "mcar_std"]
-        columns += [likelihood.profile_curve(data, grid), likelihood.mcar_curve(data, grid)]
+        columns += [likelihood.profile_curve(data, curve.grid),
+                    likelihood.mcar_curve(data, curve.grid)]
     return functools.partial(corr.write_csv, header=header, rows=zip(*columns))
 
 
@@ -206,16 +211,14 @@ def _cmd_levelset(args: argparse.Namespace) -> dict:
     if (args.alpha is None) == (args.h is None):
         raise ValidationError("levelset needs exactly one of --alpha or --h")
     data = _table_from_args(args)
-    grid = parse_grid(args.grid)
-    curve = corr.corroboration_curve(mle_psi(data), data.sizes, grid, args.method,
-                                     B=args.B, master_seed=args.seed)
+    curve = _curve(args, mle_psi(data), data.sizes, args.method, args.B)
     if args.alpha is not None:
         try:
-            result = corr.level_set(curve, float(args.alpha))
+            result = corr.level_set(curve, args.alpha)
         except EmptyLevelSet:
             return {"kind": "alpha_level", "level": args.alpha, "empty": True}
     else:
-        result = corr.max_corroboration_set(curve, float(args.h))
+        result = corr.max_corroboration_set(curve, args.h)
     return {"kind": result.kind, "level": result.level, "empty": False,
             "lower": result.interval.lower, "upper": result.interval.upper}
 
@@ -242,7 +245,7 @@ def _cmd_assure(args: argparse.Namespace) -> object:
         threads=args.threads,
     )
     if args.tau_min is not None:
-        chosen, report = assure_mod.select_h(data, float(args.tau_min), args.h, **kwargs)
+        chosen, report = assure_mod.select_h(data, args.tau_min, args.h, **kwargs)
         return {"tau_min": args.tau_min, "chosen_h": chosen, "report": report}
     reports = assure_mod.assurance_sweep(data, args.h, **kwargs)
     if len(reports) == 1:
@@ -277,84 +280,68 @@ def _cmd_simulate(args: argparse.Namespace) -> Callable[[IO[str]], None]:
     ):
         if len(values) != len(names):
             raise ValidationError(f"{args.setting}-data {flag} needs {','.join(names)}")
-    psi = table_type.psi_type(*args.psi)
     sizes = args.sizes[0] if len(args.sizes) == 1 else tuple(args.sizes)
-    grid = parse_grid(args.grid)
-    curve = corr.corroboration_curve(psi, sizes, grid, "bootstrap", B=args.reps,
-                                     master_seed=args.seed)
-    return curve.to_csv
+    return _curve(args, table_type.psi_type(*args.psi), sizes, "bootstrap", args.reps).to_csv
 
 
 # ------------------------------------------------------------------ wiring
 
-def _add_common(parser: argparse.ArgumentParser, *, counts: bool = True) -> None:
-    parser.add_argument("--setting", choices=["missing", "matched"], default=None)
-    if counts:
-        parser.add_argument("--counts", type=_int_list, default=None,
-                            help="missing: n11,n01,n_plus0; matched: nx,n1,ny,n2")
-    parser.add_argument("--config", default=None, help="JSON file with default option values")
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    parser.add_argument("--seed", type=int, default=0)
+# every option that several subcommands take, declared once: flag -> argparse keywords
+_SHARED = {
+    "--setting": dict(choices=["missing", "matched"], help="data setting"),
+    "--counts": dict(type=_INTEGERS, help="missing: n11,n01,n_plus0; matched: nx,n1,ny,n2"),
+    "--config": dict(help="JSON file with default option values"),
+    "--out": dict(help="output file (default: stdout)"),
+    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "--method": dict(choices=["bootstrap", "normal"],
+                     help="curve estimator (default: normal for missing data, else bootstrap)"),
+    "--grid": dict(default=GRID, help=f"theta grid start:stop:step (default {GRID})"),
+    "--B": dict(type=int, default=5000, help="bootstrap replicates (default 5000)"),
+}
+# the shared options of a subcommand that reads a table, and of one that also reads its curve
+_TABLE = ("--setting", "--counts", "--config", "--out", "--seed")
+_CURVE = (*_TABLE, "--method", "--grid", "--B")
+
+# one row per subcommand: name, help, handler, its shared options, its own options
+_COMMANDS = (
+    ("analyze", "MLE, plug-in region, likelihood summaries", _cmd_analyze, _TABLE, {}),
+    ("curve", "corroboration curve CSV", _cmd_curve, _CURVE, {}),
+    ("levelset", "corroboration level set", _cmd_levelset, _CURVE, {
+        "--alpha": dict(type=float, help="corroboration level in (0, 1]"),
+        "--h": dict(type=float, help="offset below the curve maximum"),
+    }),
+    ("assure", "double-bootstrap assurance of offset-h sets", _cmd_assure, (*_TABLE, "--grid"), {
+        "--h": dict(type=_NUMBERS, help="offset(s), comma-separated"),
+        "--B-outer": dict(type=int, default=5000),
+        "--inner-method": dict(choices=["normal", "bootstrap"]),
+        "--inner-B": dict(type=int, default=assure_mod.DEFAULT_INNER_B),
+        "--tau-min": dict(type=float,
+                          help="pick the largest h whose assurance reaches this level"),
+        "--ml-region": dict(action="store_true", help="assurance of the plug-in region itself"),
+        "--threads": dict(type=int, default=1, help="worker processes for nested-bootstrap "
+                          "replicates; output does not depend on it (default 1)"),
+    }),
+    ("test", "corroboration test", _cmd_test, (*_TABLE, "--method", "--B"), {
+        "--theta-star": dict(type=_NUMBERS, help="value(s) under test, comma-separated"),
+    }),
+    ("simulate", "actual-corroboration curve at a hypothesized psi", _cmd_simulate,
+     ("--setting", "--config", "--out", "--seed", "--grid"), {
+         "--psi": dict(type=_NUMBERS, help="missing: l11,l01,l_plus0; matched: l1p,lp1"),
+         "--sizes": dict(type=_INTEGERS, help="missing: n; matched: n1,n2"),
+         "--reps": dict(type=int, default=5000, help="bootstrap replicates (default 5000)"),
+     }),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minfer", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-
-    p = sub.add_parser("analyze", help="MLE, plug-in region, likelihood summaries")
-    _add_common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("curve", help="corroboration curve CSV")
-    _add_common(p)
-    p.add_argument("--method", choices=["bootstrap", "normal"], default=None)
-    p.add_argument("--grid", default=GRID, help=f"start:stop:step (default {GRID})")
-    p.add_argument("--B", type=int, default=5000, help="bootstrap replicates (default 5000)")
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("levelset", help="corroboration level set")
-    _add_common(p)
-    p.add_argument("--method", choices=["bootstrap", "normal"], default=None)
-    p.add_argument("--grid", default=GRID)
-    p.add_argument("--B", type=int, default=5000)
-    p.add_argument("--alpha", type=float, default=None, help="corroboration level in (0, 1]")
-    p.add_argument("--h", type=float, default=None, help="offset below the curve maximum")
-    p.set_defaults(func=_cmd_levelset)
-
-    p = sub.add_parser("assure", help="double-bootstrap assurance of offset-h sets")
-    _add_common(p)
-    p.add_argument("--h", type=_float_list, default=None, help="offset(s), comma-separated")
-    p.add_argument("--B-outer", dest="B_outer", type=int, default=5000)
-    p.add_argument("--inner-method", choices=["normal", "bootstrap"], default=None)
-    p.add_argument("--inner-B", dest="inner_B", type=int, default=assure_mod.DEFAULT_INNER_B)
-    p.add_argument("--grid", default=GRID)
-    p.add_argument("--tau-min", dest="tau_min", type=float, default=None,
-                   help="pick the largest h whose assurance reaches this level")
-    p.add_argument("--ml-region", dest="ml_region", action="store_true",
-                   help="assurance of the plug-in region itself")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for nested-bootstrap replicates; output "
-                   "does not depend on it (default 1)")
-    p.set_defaults(func=_cmd_assure)
-
-    p = sub.add_parser("test", help="corroboration test")
-    _add_common(p)
-    p.add_argument("--theta-star", dest="theta_star", type=_float_list, default=None,
-                   help="value(s) under test, comma-separated")
-    p.add_argument("--method", choices=["bootstrap", "normal"], default=None)
-    p.add_argument("--B", type=int, default=5000)
-    p.set_defaults(func=_cmd_test)
-
-    p = sub.add_parser("simulate", help="actual-corroboration curve at a hypothesized psi")
-    _add_common(p, counts=False)
-    p.add_argument("--psi", type=_float_list, default=None,
-                   help="missing: l11,l01,l_plus0; matched: l1p,lp1")
-    p.add_argument("--sizes", type=_int_list, default=None, help="missing: n; matched: n1,n2")
-    p.add_argument("--reps", type=int, default=5000, help="bootstrap replicates (default 5000)")
-    p.add_argument("--grid", default=GRID)
-    p.set_defaults(func=_cmd_simulate)
-
+    for name, help_text, handler, shared, own in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in [*((flag, _SHARED[flag]) for flag in shared), *own.items()]:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=handler)
     return parser
 
 

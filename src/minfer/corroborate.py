@@ -62,9 +62,9 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 
 from ._normal import _bvn_cover, _ndtr_pair
-from .errors import (DegenerateVariance, EmptyLevelSet, ValidationError, _check_grid,
-                     _check_offset, _check_probability, _check_replicates, _check_seed,
-                     _check_sizes, _check_theta)
+from .errors import (DegenerateVariance, EmptyLevelSet, ValidationError, _check_floats,
+                     _check_grid, _check_offset, _check_probability, _check_replicates,
+                     _check_seed, _check_sizes, _check_theta)
 from .identify import ThetaInterval, theta_interval
 from .model import Psi, PsiMissing
 from .sampling import _replicate_counts
@@ -107,7 +107,7 @@ def default_grid() -> np.ndarray:
 
 def _as_grid(grid: np.ndarray | None) -> np.ndarray:
     """``grid`` as a float array, or the default grid when None."""
-    return default_grid() if grid is None else np.asarray(grid, dtype=float)
+    return default_grid() if grid is None else _check_floats(grid, "grid")
 
 
 def _tie_epsilon(B: int | None) -> float:
@@ -129,8 +129,8 @@ class CorroborationCurve:
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        grid = _check_floats(self.grid, "grid")
+        values = _check_floats(self.values, "values")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         _check_grid(grid)

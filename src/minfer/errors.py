@@ -8,7 +8,9 @@ caller, such as an empty level set, derive from ``MinferError`` directly.
 The library entry points call the checkers below; an error they raise
 names the parameter, its value and the rule, so the CLI can name the
 flag that set it. Counts and sample sizes are integers >= 1, seeds >= 0
-(numpy integers are integers, bool is not), and NaN fails every range.
+(numpy integers are integers, bool is not), other scalars are real
+numbers (numpy's are, bool is not), arrays hold numbers (not strings),
+and NaN fails every range.
 Sample sizes end at ``MAX_SIZE`` = 2**63 - 1, the int64 range numpy's
 samplers take, and replicate counts at 2**32, the indices one 32-bit
 spawn word holds.
@@ -75,6 +77,26 @@ def _check_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def _check_number(value, name: str) -> float:
+    # a real number, returned as a float
+    if type(value) is float:
+        return value  # the common case, spared the slower abstract-class check
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _invalid(ValidationError, name, repr(value), "must be a number")
+    return float(value)
+
+
+def _check_floats(values, name: str) -> np.ndarray:
+    # a number or an array of numbers (strings are not), returned as a float array
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind not in "SU":
+            return np.asarray(array, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise _invalid(ValidationError, name, None, "must be a number or an array of numbers")
+
+
 def _check_replicates(value, name: str) -> int:
     # a replicate count: replicate b's stream is spawned with the 32-bit word b
     count = _check_count(value, name)
@@ -99,7 +121,7 @@ def _check_sizes(sizes, name: str = "sizes") -> None:
 
 def _check_theta(theta, name: str = "theta") -> np.ndarray:
     # a number or an array, returned as a float array of at least one dimension
-    values = np.atleast_1d(np.asarray(theta, dtype=float))
+    values = np.atleast_1d(_check_floats(theta, name))
     outside = ~((0.0 <= values) & (values <= 1.0))
     if outside.any():
         raise _invalid(ThetaOutOfDomain, name, values[outside][0], "must lie in [0, 1]")
@@ -108,14 +130,17 @@ def _check_theta(theta, name: str = "theta") -> np.ndarray:
 
 def _check_probability(value: float, name: str, positive: bool = False) -> None:
     # in (0, 1] when ``positive`` (a corroboration level alpha)
+    _check_number(value, name)
     if not ((value > 0.0 if positive else value >= 0.0) and value <= 1.0):
         raise _invalid(ValidationError, name, value, f"must lie in {'(' if positive else '['}0, 1]")
 
 
-def _check_offset(h: float, name: str = "h") -> None:
+def _check_offset(h: float, name: str = "h") -> float:
     # corroboration lies in [0, 1], so any h >= 1 would select the whole grid
-    if not 0.0 <= h < 1.0:
+    value = _check_number(h, name)
+    if not 0.0 <= value < 1.0:
         raise _invalid(ValidationError, name, h, "must lie in [0, 1)")
+    return value
 
 
 def _check_grid(grid: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_number
 from .model import ObservedTable, Psi
 
 
@@ -25,6 +25,8 @@ class ThetaInterval:
     upper: float
 
     def __post_init__(self) -> None:
+        _check_number(self.lower, "lower")
+        _check_number(self.upper, "upper")
         if not 0.0 <= self.lower <= self.upper <= 1.0:
             raise ValidationError(
                 f"invalid interval [{self.lower}, {self.upper}]: "

@@ -33,8 +33,21 @@ curve, B = infinity: with L = c11/n and U = (c11 + c0)/n, both binomial
 and L <= U, closed membership has probability P(L <= theta) - P(U <
 theta). The floats k/n are compared with theta exactly as the estimator
 compares them, and the pmfs come from numpy alone (``binomial_pmf``).
-``share_tolerance`` is five binomial standard deviations of a share of B
-replicates around such an expectation.
+``exact_matched_curve`` is the same expectation for matched data, over
+the (x, y) lattice of two independent binomials, with L and U the floats
+``PsiMatched.plug_in`` forms. ``share_tolerance`` is five binomial
+standard deviations of a share of B replicates around such an expectation.
+
+``outer_tables`` enumerates the replicate tables of one outer draw with
+their probabilities, from ``binomial_pmf``. ``exact_ml_region_assurance``
+and ``exact_normal_sweep`` sum over them the quantities the double
+bootstrap averages (B_outer = infinity): tau, L_bar and U_bar of the
+plug-in region, and of the offset-h sets of each table's normal curve
+(the library's own curve and ``corroborate._max_sets``). Tables below
+``TABLE_CUT`` and tables whose normal curve is degenerate are not
+scored; their mass is reported as ``unscored``, since a seeded estimate
+may differ from the sums by at most that much beyond its Monte Carlo
+error.
 
 ``SimTruth`` is a complete-data law, with the identifiable parameter and
 theta that each setting observes of it.
@@ -47,7 +60,9 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr, owens_t
 
-from minfer import MissingTable, PsiMatched, PsiMissing
+from minfer import (DegenerateVariance, MissingTable, ObservedTable, PsiMatched, PsiMissing,
+                    ThetaInterval, corroboration_normal_curve, ml_region, mle_psi)
+from minfer.corroborate import _max_sets, _tie_epsilon
 
 TAIL_SIGMAS = 13.0
 GL_PANELS = 10
@@ -246,6 +261,17 @@ def exact_missing_curve(psi: PsiMissing, n: int, grid) -> np.ndarray:
                      for theta in np.asarray(grid, dtype=float)])
 
 
+def exact_matched_curve(psi: PsiMatched, sizes: tuple[int, int], grid) -> np.ndarray:
+    """Exact expectation of the matched-data bootstrap curve at psi and
+    sizes (n1, n2) on ``grid`` (see module docs)."""
+    (k_x, p_x), (k_y, p_y) = binomial_pmf(sizes[0], psi.l1p), binomial_pmf(sizes[1], psi.lp1)
+    lower, upper = PsiMatched.plug_in((k_x[:, None], k_y[None, :]), sizes)
+    prob = p_x[:, None] * p_y[None, :]
+    # the difference of two sums of ~1e4 terms can stray out of [0, 1] by an ulp
+    return np.clip([prob[lower <= theta].sum() - prob[upper < theta].sum()
+                    for theta in np.asarray(grid, dtype=float)], 0.0, 1.0)
+
+
 def share_tolerance(p: float, B: int) -> float:
     """Five standard deviations of the share of B independent replicates
     that hit an event of probability p."""
@@ -273,3 +299,78 @@ class SimTruth:
 
     def theta_matched(self) -> float:
         return self.l11
+
+
+# outer tables less likely than this are left out of the exact assurance
+TABLE_CUT = 1e-15
+
+
+def outer_tables(psi, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The outer replicate tables at psi above ``TABLE_CUT``, one row of
+    cells each (as ``from_cells`` takes them), and their probabilities:
+    missing data c11, then c01 given c11; matched data nx and ny apart."""
+    if isinstance(psi, PsiMissing):
+        k11, p11 = binomial_pmf(sizes, psi.l11)
+        share = psi.l01 / (psi.l01 + psi.l_plus0) if psi.l11 < 1.0 else 0.0
+        tables = [((c11, c01, sizes - c11 - c01), p * q)
+                  for c11, p in zip(k11.tolist(), p11.tolist())
+                  for c01, q in zip(*(a.tolist() for a in binomial_pmf(sizes - c11, share)))]
+    else:
+        (k_x, p_x), (k_y, p_y) = (binomial_pmf(n, l) for n, l in zip(sizes, (psi.l1p, psi.lp1)))
+        tables = [((x, y), p * q) for x, p in zip(k_x.tolist(), p_x.tolist())
+                  for y, q in zip(k_y.tolist(), p_y.tolist())]
+    kept = [(cells, prob) for cells, prob in tables if prob > TABLE_CUT]
+    return np.array([cells for cells, _ in kept]), np.array([prob for _, prob in kept])
+
+
+@dataclass(frozen=True)
+class ExactAssurance:
+    """tau, L_bar and U_bar summed over the scored outer tables, the
+    standard deviations of one replicate's L_b and U_b, and the mass of
+    the tables not scored."""
+
+    tau: float
+    L_bar: float
+    U_bar: float
+    sd_L: float
+    sd_U: float
+    unscored: float
+
+
+def _exact_assurance(region: ThetaInterval, lower: np.ndarray, upper: np.ndarray,
+                     probs: np.ndarray, unscored: float) -> ExactAssurance:
+    # the estimator's indicator, with its strict middle inequality
+    delta = (region.lower <= lower) & (lower < upper) & (upper <= region.upper)
+    L_bar, U_bar = float(probs @ lower), float(probs @ upper)
+    return ExactAssurance(
+        tau=float(probs @ delta), L_bar=L_bar, U_bar=U_bar,
+        sd_L=math.sqrt(max(float(probs @ lower**2) - L_bar**2, 0.0)),
+        sd_U=math.sqrt(max(float(probs @ upper**2) - U_bar**2, 0.0)),
+        unscored=unscored,
+    )
+
+
+def exact_ml_region_assurance(data: ObservedTable) -> ExactAssurance:
+    """Exact assurance of the plug-in region (``assurance_of_ml_region``)."""
+    cells, probs = outer_tables(mle_psi(data), data.sizes)
+    lower, upper = data.psi_type.plug_in(cells.T, data.sizes)
+    return _exact_assurance(ml_region(data), lower, upper, probs, float(1.0 - probs.sum()))
+
+
+def exact_normal_sweep(data: MissingTable, hs, grid) -> list[ExactAssurance]:
+    """Exact assurance of each offset h with the normal inner curve on
+    ``grid`` (``assurance_sweep`` with ``inner_method="normal"``)."""
+    psi, hs = mle_psi(data), np.asarray(hs, dtype=float)
+    cells, probs = outer_tables(psi, data.n)
+    lower, upper = np.zeros((2, len(hs), len(probs)))
+    scored = np.ones(len(probs), dtype=bool)
+    for t, table in enumerate(cells.tolist()):
+        try:
+            curve = corroboration_normal_curve(psi.from_cells(table, data.n), data.n, grid)
+        except DegenerateVariance:
+            scored[t] = False
+        else:
+            lower[:, t], upper[:, t] = _max_sets(curve.values, curve.grid, hs, _tie_epsilon(None))
+    unscored = float(1.0 - probs[scored].sum())
+    return [_exact_assurance(ml_region(data), lower[i, scored], upper[i, scored], probs[scored],
+                             unscored) for i in range(len(hs))]

@@ -65,10 +65,11 @@ def test_removed_names_are_gone_and_documented():
 
 # --- hostile values: every entry point raises only MinferError subclasses
 
-HOSTILE = [float("nan"), float("inf"), float("-inf"), 0, -1, 2**63, 10**20, 1e-300]
-# grids: empty, NaN, a step of 1e-300, and a step of 1e-300 that leaves [0, 1]
+HOSTILE = [float("nan"), float("inf"), float("-inf"), 0, -1, 2**63, 10**20, 1e-300, "x", None]
+# grids: empty, NaN, a step of 1e-300, a step of 1e-300 that leaves [0, 1],
+# and values that are no numbers
 HOSTILE_GRIDS = [np.array([]), np.array([np.nan]), np.array([0.0, 1e-300, 2e-300]),
-                 np.array([1.0, 1.0 + 1e-300]), np.array([-1e-300, 0.0])]
+                 np.array([1.0, 1.0 + 1e-300]), np.array([-1e-300, 0.0]), "x", None, ["x"]]
 MISSING, MATCHED = minfer.MissingTable(32, 54, 24), minfer.MatchedTable(30, 100, 40, 120)
 PSI_MISSING, PSI_MATCHED = minfer.PsiMissing(0.3, 0.5, 0.2), minfer.PsiMatched(0.3, 0.5)
 GRID = np.linspace(0.0, 1.0, 11)

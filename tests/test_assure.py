@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import signal
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import minfer as m
 from minfer import _binomial, assure
 from minfer.corroborate import bounds_batch_from_rng, coverage_share
-from oracles import numpy_stream
+from oracles import exact_ml_region_assurance, exact_normal_sweep, numpy_stream
 
 COARSE_GRID = np.linspace(0.0, 1.0, 201)
 
@@ -106,11 +107,53 @@ class TestReportFields:
         ("master_seed", -1), ("master_seed", 1.5),
         ("singleton_count", -3), ("singleton_count", 5), ("singleton_count", True),
         ("fallback_count", 2.5), ("fallback_count", 5),
+        ("h", "x"), ("tau_hat", None), ("L_bar", "x"), ("U_bar", None), ("U_bar", 1.5),
+        ("L_bar", 0.7),  # above U_bar = 0.6; the ordering error had no name
     ])
     def test_bad_field_named(self, field, value):
         with pytest.raises(m.ValidationError) as info:
             m.AssuranceReport(**{**REPORT, field: value})
         assert info.value.name == field
+
+    @pytest.mark.parametrize("h, inner_method", [
+        (None, "normal"), (None, "bootstrap"), (0.1, "ml_region"),
+    ])
+    def test_h_is_none_exactly_for_ml_region(self, h, inner_method):
+        with pytest.raises(m.ValidationError) as info:
+            m.AssuranceReport(**{**REPORT, "h": h, "inner_method": inner_method})
+        assert info.value.name == "h"
+
+
+class TestExactAssurance:
+    """Seeded estimates against the exact sums over the outer tables
+    (``oracles``): within four Monte Carlo standard errors of B_outer
+    replicates, plus the mass the oracle leaves unscored."""
+
+    B_OUTER = 5000
+
+    def _assert_close(self, report, exact):
+        slack, root_b = exact.unscored, math.sqrt(self.B_OUTER)
+        assert abs(report.tau_hat - exact.tau) <= (
+            4.0 * math.sqrt(exact.tau * (1.0 - exact.tau)) / root_b + slack)
+        assert abs(report.L_bar - exact.L_bar) <= 4.0 * exact.sd_L / root_b + slack
+        assert abs(report.U_bar - exact.U_bar) <= 4.0 * exact.sd_U / root_b + slack
+
+    @pytest.mark.parametrize("data", [m.MissingTable(32, 54, 24), m.MatchedTable(30, 100, 40, 120)],
+                             ids=["missing", "matched"])
+    def test_ml_region(self, data):
+        report = m.assurance_of_ml_region(data, B_outer=self.B_OUTER, master_seed=0)
+        self._assert_close(report, exact_ml_region_assurance(data))
+
+    def test_ml_region_exact_value(self, trial):
+        # the exact plug-in-region assurance of the missing-data example
+        assert round(exact_ml_region_assurance(trial).tau, 5) == 0.18182
+
+    def test_normal_sweep_at_ac5_offsets(self, trial):
+        hs = [0.0, 0.01, 0.06, 0.40, 0.80]
+        reports = m.assurance_sweep(trial, hs, B_outer=self.B_OUTER, inner_method="normal",
+                                    master_seed=0)
+        for report, exact in zip(reports, exact_normal_sweep(trial, hs, m.default_grid())):
+            self._assert_close(report, exact)
 
 
 class TestSweep:

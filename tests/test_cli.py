@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from minfer import assure as assure_mod
 from minfer import cli
+from minfer.model import SETTINGS
 
 
 def run_cli(argv, capsys):
@@ -620,18 +622,22 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
 
 
+def _subparsers():
+    """``build_parser()``'s subcommand parsers by name."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _numeric_options():
     """(subcommand, option, takes a list) for every value-taking option of
     ``build_parser()``'s subcommands, apart from choices (argparse checks
     them) and the files ``--config`` and ``--out``."""
-    parser = cli.build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command, subparser in subparsers.choices.items():
+    for command, subparser in _subparsers().items():
         for action in subparser._actions:
             if action.nargs == 0 or action.choices or action.dest in ("config", "out"):
                 continue
-            yield command, action.option_strings[0], action.type in (cli._int_list,
-                                                                     cli._float_list)
+            takes_list = action.type is not None and isinstance(action.type("1"), list)
+            yield command, action.option_strings[0], takes_list
 
 
 NUMERIC_OPTIONS = list(_numeric_options())
@@ -765,6 +771,50 @@ class TestFlagNames:
         # --inner-B, "internal error: Maximum allowed dimension exceeded"
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (1, "", f"minfer: error: {message}\n")
+
+
+TABLE_NAMES = ["counts", *(f.name for table in SETTINGS.values() for f in fields(table))]
+PSI_NAMES = ["psi", *(f.name for table in SETTINGS.values() for f in fields(table.psi_type))]
+CURVE_NAMES = ["B", "master_seed", "grid"]
+# the library parameters whose checks each subcommand's input can fail
+RAISES = {
+    "analyze": TABLE_NAMES,
+    "curve": [*TABLE_NAMES, *CURVE_NAMES],
+    "levelset": [*TABLE_NAMES, *CURVE_NAMES, "alpha", "h"],
+    "assure": [*TABLE_NAMES, "master_seed", "grid", "h", "candidates", "B_outer", "inner_B",
+               "tau_min", "threads"],
+    "test": [*TABLE_NAMES, "B", "master_seed", "theta_star"],
+    "simulate": [*PSI_NAMES, "sizes", *CURVE_NAMES],
+}
+
+
+class TestDeclarations:
+    """The flags errors name and the help each subcommand shows follow
+    the parser's declarations."""
+
+    def test_every_named_flag_is_an_option(self):
+        subparsers = _subparsers()
+        for command, names in RAISES.items():
+            options = {flag for action in subparsers[command]._actions
+                       for flag in action.option_strings}
+            for name in names:
+                assert cli._FLAGS.get((command, name), cli._FLAGS[name]) in options, (command, name)
+        named = {key[1] if isinstance(key, tuple) else key for key in cli._FLAGS}
+        assert named == set().union(*RAISES.values())
+
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_help_shows_each_shared_option(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "-h"])
+        assert info.value.code == 0
+        # argparse wraps help lines
+        text = " ".join(capsys.readouterr().out.split())
+        options = {flag for action in _subparsers()[command]._actions
+                   for flag in action.option_strings}
+        shared = [flag for flag in cli._SHARED if flag in options]
+        assert {"--setting", "--config", "--out", "--seed"} <= set(shared)
+        for flag in shared:
+            assert f"{flag} " in text and " ".join(cli._SHARED[flag]["help"].split()) in text
 
 
 # --- hostile command lines: exit 0, 1 or 2, and no internal error

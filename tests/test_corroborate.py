@@ -17,8 +17,8 @@ import minfer as m
 from minfer import _normal, corroborate
 from minfer.corroborate import bounds_batch_streams
 from minfer.sampling import ReplicateStream
-from oracles import (child_seed, exact_missing_curve, normal_owen, normal_panels, normal_quad,
-                     share_tolerance)
+from oracles import (child_seed, exact_matched_curve, exact_missing_curve, normal_owen,
+                     normal_panels, normal_quad, share_tolerance)
 
 TRIAL_N = 110
 
@@ -68,8 +68,11 @@ class TestBootstrap:
     def test_matched_setting(self):
         psi = m.PsiMatched(0.3, 0.3)
         curve = m.corroboration_bootstrap(psi, (200, 300), B=2000, master_seed=5)
-        assert curve.value_at(0.0) == pytest.approx(1.0, abs=0.01)
-        assert curve.value_at(0.3) == pytest.approx(0.2748, abs=0.04)
+        # the exact expectation (B = infinity), never wider than the hand-typed 0.01 and 0.04
+        exact = exact_matched_curve(psi, (200, 300), [0.0, 0.3])
+        for theta, p, typed in zip((0.0, 0.3), exact, (0.01, 0.04)):
+            tolerance = min(share_tolerance(p, 2000), typed)
+            assert curve.value_at(theta) == pytest.approx(p, abs=tolerance)
 
     def test_confidence_level_identity(self):
         # the curve value at theta0 is exactly the empirical coverage of the
@@ -707,6 +710,22 @@ class TestExactMissingCurve:
             ]), 0.0, 1.0))
             exact = exact_missing_curve(psi, n, grid)
             assert np.max(np.abs(exact - _scipy_missing_curve(psi, n, grid))) <= 1e-12
+
+
+class TestExactMatchedCurve:
+    """Matched bootstrap curves on the default grid against their exact
+    expectation, at psi whose margins nx = n1 and ny = n2 carry no mass
+    (where the plug-in bounds can invert by one ulp)."""
+
+    @pytest.mark.parametrize("psi, sizes, seed", [
+        ((0.3, 0.3), (200, 300), 7), ((0.3, 1 / 3), (100, 120), 0), ((0.6, 0.7), (200, 150), 3),
+    ])
+    def test_bootstrap_within_share_tolerance(self, psi, sizes, seed):
+        psi = m.PsiMatched(*psi)
+        curve = m.corroboration_bootstrap(psi, sizes, B=5000, master_seed=seed)
+        exact = exact_matched_curve(psi, sizes, curve.grid)
+        tolerance = np.array([share_tolerance(p, 5000) for p in exact])
+        assert np.all(np.abs(curve.values - exact) <= tolerance)
 
 
 class TestCurveContainer:
